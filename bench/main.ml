@@ -756,7 +756,7 @@ let run_truncation_mode ~mode ~value_bytes ~idle_pct =
         done;
         (* once the workload ends the machine is idle: drain *)
         match !producer_thread with
-        | Some th -> ignore (Mtm.Txn.process_truncations th dview)
+        | Some th -> while Mtm.Txn.process_one_truncation th dview do () done
         | None -> ());
   Sim.run sim;
   rm_rf dir;
