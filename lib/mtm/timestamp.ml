@@ -110,4 +110,3 @@ let register_thread t =
 let unregister_thread t =
   race_rmw t "mtm.ts.active";
   t.active <- max 0 (t.active - 1)
-let active_threads t = t.active

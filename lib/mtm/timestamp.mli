@@ -66,7 +66,6 @@ val advance_to : t -> int -> unit
 
 val register_thread : t -> unit
 val unregister_thread : t -> unit
-val active_threads : t -> int
 
 val set_race : t -> Race_api.hooks option -> unit
 (** Race-detection hooks (DESIGN.md section 18): the shared counter is
