@@ -17,6 +17,9 @@ type t = {
   free : int Queue.t;
   resident : (int * int, int) Hashtbl.t;  (* (inode, page_off) -> frame *)
   rev : (int, int * int) Hashtbl.t;  (* frame -> (inode, page_off) *)
+  installing : (int * int, unit) Hashtbl.t;
+      (* pages claimed in [resident] whose table entry is not yet
+         durable *)
   rng : Random.State.t;
   mutable hooks : (inode:int -> page_off:int -> unit) list;
   mutable swaps_out : int;
@@ -41,6 +44,7 @@ let make machine backing table reserved stats =
     free = Queue.create ();
     resident = Hashtbl.create 1024;
     rev = Hashtbl.create 1024;
+    installing = Hashtbl.create 8;
     rng = Random.State.make [| 0x5a5a |];
     hooks = [];
     swaps_out = 0;
@@ -145,21 +149,24 @@ let detach t env frame ~write_back =
       List.iter (fun hook -> hook ~inode ~page_off) t.hooks
 
 let pick_victim t =
-  if Hashtbl.length t.resident = 0 then None
+  (* a frame still being installed is not evictable *)
+  let n = Hashtbl.length t.resident - Hashtbl.length t.installing in
+  if n <= 0 then None
   else begin
     (* Reservoir-sample a random resident frame. *)
-    let n = Hashtbl.length t.resident in
     let idx = Random.State.int t.rng n in
     let i = ref 0 in
     let victim = ref None in
     (try
        Hashtbl.iter
-         (fun _ frame ->
-           if !i = idx then begin
-             victim := Some frame;
-             raise Exit
-           end;
-           incr i)
+         (fun page frame ->
+           if not (Hashtbl.mem t.installing page) then begin
+             if !i = idx then begin
+               victim := Some frame;
+               raise Exit
+             end;
+             incr i
+           end)
          t.resident
      with Exit -> ());
     !victim
@@ -181,14 +188,37 @@ let take_frame t env =
         failwith "Manager: out of SCM frames and nothing evictable";
       Queue.take t.free
 
+(* A frame found while another fiber is still installing it is not
+   yet durably mapped: post the same (idempotent) table entry under this
+   fiber's own fence before using it. *)
+let settle t env frame ~inode ~page_off =
+  if Hashtbl.mem t.installing (inode, page_off) then
+    Mapping_table.set_mapped t.table env ~frame ~inode ~page_off;
+  frame
+
+(* Map [frame] for the page — unless another fiber mapped it while this
+   one yielded (taking a frame can evict, reading the page in charges
+   I/O): then [frame] goes back to the free list and the winner's frame
+   is used.  The re-check and the volatile claim are one yield-free
+   step, so concurrent faults of one page never map two frames; the
+   durable table entry is written after the claim. *)
 let install t env frame ~inode ~page_off =
-  Mapping_table.set_mapped t.table env ~frame ~inode ~page_off;
-  Hashtbl.replace t.resident (inode, page_off) frame;
-  Hashtbl.replace t.rev frame (inode, page_off)
+  let page = (inode, page_off) in
+  match Hashtbl.find_opt t.resident page with
+  | Some winner ->
+      Queue.push frame t.free;
+      settle t env winner ~inode ~page_off
+  | None ->
+      Hashtbl.replace t.resident page frame;
+      Hashtbl.replace t.rev frame page;
+      Hashtbl.replace t.installing page ();
+      Mapping_table.set_mapped t.table env ~frame ~inode ~page_off;
+      Hashtbl.remove t.installing page;
+      frame
 
 let fault_in t env ~inode ~page_off =
   match frame_of t ~inode ~page_off with
-  | Some frame -> frame
+  | Some frame -> settle t env frame ~inode ~page_off
   | None ->
       let frame = take_frame t env in
       purge_frame_lines ~writeback:false t frame;
@@ -201,20 +231,18 @@ let fault_in t env ~inode ~page_off =
       let obs = t.machine.Scm.Env.obs in
       Obs.Metrics.incr (Obs.Metrics.counter obs.Obs.metrics "region.swaps_in");
       Obs.instant_at obs Obs.Trace.Swap_in ~ts:(env.Scm.Env.now ()) ~arg:frame;
-      install t env frame ~inode ~page_off;
-      frame
+      install t env frame ~inode ~page_off
 
 let alloc_fresh t env ~inode ~page_off =
   match frame_of t ~inode ~page_off with
-  | Some frame -> frame
+  | Some frame -> settle t env frame ~inode ~page_off
   | None ->
       let frame = take_frame t env in
       purge_frame_lines ~writeback:false t frame;
       let fs = Scm_device.frame_size t.machine.dev in
       Scm_device.write_from t.machine.dev (frame_addr t frame)
         (Bytes.make fs '\000') 0 fs;
-      install t env frame ~inode ~page_off;
-      frame
+      install t env frame ~inode ~page_off
 
 let release_pages t env ~inode =
   let frames =

@@ -355,6 +355,61 @@ let test_duplicate_mapping_resolved_at_boot () =
       in
       Alcotest.(check int) "single table entry" 1 dups)
 
+(* Two fibers faulting one fresh page at once must share one frame.
+   Each fault yields (the page read-in charges I/O) between finding the
+   page unmapped and installing it; if both install, each fiber's stores
+   go to its own frame and only one frame's words survive a restart. *)
+let test_concurrent_fault_one_frame () =
+  let rec rm_rf path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+  in
+  let dir = Filename.temp_file "mnemosyne" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let inst = Mnemosyne.open_instance ~dir () in
+      let slot = Mnemosyne.pstatic inst "test.block" 8 in
+      let block = Mnemosyne.pmalloc inst 8192 ~slot in
+      let words = 8192 / 8 in
+      (* the first page boundary inside the block: a page nothing has
+         touched yet *)
+      let fresh = (block + 4095) land lnot 4095 in
+      let first = (fresh - block) / 8 in
+      let value w = Int64.of_int ((w * 7) + 1) in
+      let sim = Sim.create () in
+      let nfib = 4 in
+      for f = 0 to nfib - 1 do
+        Sim.spawn sim (fun () ->
+            let env =
+              Scm.Env.view (Mnemosyne.machine inst)
+                ~delay:(fun ns -> Sim.delay sim ns)
+                ~now:(fun () -> Sim.now sim)
+            in
+            let v = Region.Pmem.view (Mnemosyne.pmem inst) env in
+            (* every fiber's first store lands on the fresh page *)
+            for k = 0 to words - 1 do
+              let w = (first + k) mod words in
+              if w mod nfib = f then
+                Region.Pmem.store v (block + (8 * w)) (value w)
+            done)
+      done;
+      Sim.run sim;
+      Mnemosyne.close inst;
+      let inst = Mnemosyne.open_instance ~dir () in
+      let v = Mnemosyne.view inst in
+      let lost = ref 0 in
+      for w = 0 to words - 1 do
+        if Region.Pmem.load v (block + (8 * w)) <> value w then incr lost
+      done;
+      Mnemosyne.close inst;
+      Alcotest.(check int) "words lost across the restart" 0 !lost)
+
 (* ------------------------------------------------------------------ *)
 (* Pstatic *)
 
@@ -539,6 +594,8 @@ let () =
             test_wear_leveling_migrates_hot_pages;
           Alcotest.test_case "duplicate mapping resolved at boot" `Quick
             test_duplicate_mapping_resolved_at_boot;
+          Alcotest.test_case "concurrent faults share one frame" `Quick
+            test_concurrent_fault_one_frame;
         ] );
       ( "pmem",
         [
