@@ -30,12 +30,12 @@
      as rmw and their interrogations as acquire.
 
    - [fork]/[transfer] — direct fiber-to-fiber edges: [fork] at spawn
-     (parent's clock seeds the child), [transfer] when one fiber
-     requeues another (suspend/resume delivery, mutex ownership
-     handoff, service unpark).  A plain [yield] deliberately fires
-     nothing: being scheduled after someone is not synchronization,
-     so races are flagged even on schedules where the bad
-     interleaving did not happen to fire. *)
+     (parent's clock seeds the child), [transfer] when one fiber requeues
+     another (park/notify delivery, mutex ownership handoff, service unpark;
+     not a park's own timeout).  A plain [yield] deliberately fires nothing:
+     being scheduled after someone is not synchronization, so races are
+     flagged even on schedules where the bad interleaving did not happen to
+     fire. *)
 
 type hooks = {
   read : string -> unit;

@@ -309,7 +309,9 @@ end
 
 (* Binary min-heap of events keyed by (time, key, seq): [key] is the
    schedule policy's same-time tiebreak (always 0 under Fifo), [seq]
-   gives FIFO order among same-time same-key events. *)
+   gives FIFO order among same-time same-key events.  A [cancelled]
+   entry (a park timeout whose waiter was notified first) stays in the
+   heap until it surfaces and is then dropped unrun. *)
 module Heap = struct
   type entry = {
     time : int;
@@ -317,11 +319,13 @@ module Heap = struct
     seq : int;
     proc : int;
     thunk : unit -> unit;
+    mutable cancelled : bool;
   }
 
   type t = { mutable a : entry array; mutable n : int }
 
-  let dummy = { time = 0; key = 0; seq = 0; proc = 0; thunk = ignore }
+  let dummy =
+    { time = 0; key = 0; seq = 0; proc = 0; thunk = ignore; cancelled = false }
 
   let create () = { a = Array.make 256 dummy; n = 0 }
 
@@ -380,7 +384,7 @@ type t = {
   mutable seq : int;
   events : Heap.t;
   mutable started : int;
-  mutable suspended : int;  (* processes parked via [suspend] *)
+  mutable suspended : int;  (* processes parked via [park] *)
   sched : Schedule.t;
   mutable cur_proc : int;  (* process whose event is executing;
                               -1 = outside any process (the root) *)
@@ -388,15 +392,18 @@ type t = {
   mutable nsync : int;  (* labels for anonymous sync objects *)
   mutable race : Race_api.hooks option;
       (* Happens-before edge hooks (DESIGN.md section 18).  The
-         simulator's synchronization vocabulary — spawn, suspend/resume
+         simulator's synchronization vocabulary — spawn, park/notify
          delivery, mutex ownership, service wake tokens — is where HB
-         edges come from; plain [yield]/[delay] deliberately fire
-         nothing. *)
+         edges come from; plain [yield]/[delay] and park timeouts
+         deliberately fire nothing. *)
 }
 
+(* [Park] carries no simulator: the handler installed by [run_process]
+   knows which simulation the parking process belongs to, so layers
+   that hold only an environment's [delay] closure can still wait. *)
 type _ Effect.t +=
   | Delay : t * int -> unit Effect.t
-  | Suspend : t * ((unit -> unit) -> unit) -> unit Effect.t
+  | Park : int option * ((unit -> unit) -> unit) -> unit Effect.t
 
 let create ?schedule () =
   let sched =
@@ -426,11 +433,15 @@ let sync_label t prefix =
   t.nsync <- n + 1;
   Printf.sprintf "sim.%s.%d" prefix n
 
-let schedule_for t ~proc time thunk =
+let event_for t ~proc time thunk =
   let seq = t.seq in
   t.seq <- seq + 1;
   let key = Schedule.next_key t.sched ~proc in
-  Heap.push t.events { Heap.time; key; seq; proc; thunk }
+  let e = { Heap.time; key; seq; proc; thunk; cancelled = false } in
+  Heap.push t.events e;
+  e
+
+let schedule_for t ~proc time thunk = ignore (event_for t ~proc time thunk)
 
 let delay t ns =
   if ns < 0 then invalid_arg "Sim.delay: negative";
@@ -438,7 +449,13 @@ let delay t ns =
 
 let yield t = delay t 0
 
-let suspend t register = Effect.perform (Suspend (t, register))
+let park ?timeout register =
+  (match timeout with
+  | Some ns when ns < 0 -> invalid_arg "Sim.park: negative timeout"
+  | _ -> ());
+  Effect.perform (Park (timeout, register))
+
+let suspend (_ : t) register = park register
 
 let run_process t body =
   let open Effect.Deep in
@@ -455,25 +472,39 @@ let run_process t body =
                 (fun (k : (a, unit) continuation) ->
                   schedule_for sim ~proc:sim.cur_proc (sim.clock + ns)
                     (fun () -> continue k ()))
-          | Suspend (sim, register) ->
+          | Park (timeout, register) ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  let proc = sim.cur_proc in
-                  sim.suspended <- sim.suspended + 1;
-                  let resumed = ref false in
+                  let proc = t.cur_proc in
+                  t.suspended <- t.suspended + 1;
+                  let parked = ref true in
+                  let timer =
+                    match timeout with
+                    | None -> None
+                    | Some ns ->
+                        Some
+                          (event_for t ~proc (t.clock + ns) (fun () ->
+                               if !parked then begin
+                                 parked := false;
+                                 t.suspended <- t.suspended - 1;
+                                 continue k ()
+                               end))
+                  in
                   register (fun () ->
-                      if !resumed then
-                        failwith "Sim.suspend: resume called twice";
-                      resumed := true;
-                      sim.suspended <- sim.suspended - 1;
-                      (* Resume delivery is a direct fiber-to-fiber HB
-                         edge: the resumer's history happens-before
-                         everything the parked process does next. *)
-                      (match sim.race with
-                      | Some h -> h.transfer ~src:sim.cur_proc ~dst:proc
-                      | None -> ());
-                      schedule_for sim ~proc sim.clock (fun () ->
-                          continue k ())))
+                      if !parked then begin
+                        parked := false;
+                        t.suspended <- t.suspended - 1;
+                        Option.iter
+                          (fun e -> e.Heap.cancelled <- true)
+                          timer;
+                        (* Resume delivery is a direct fiber-to-fiber HB
+                           edge: the resumer's history happens-before
+                           everything the parked process does next. *)
+                        (match t.race with
+                        | Some h -> h.transfer ~src:t.cur_proc ~dst:proc
+                        | None -> ());
+                        schedule_for t ~proc t.clock (fun () -> continue k ())
+                      end))
           | _ -> None);
     }
 
@@ -500,6 +531,7 @@ let run ?until t =
                (Printf.sprintf "%d process(es) suspended with no events"
                   t.suspended));
         continue_run := false
+    | Some e when e.Heap.cancelled -> ()
     | Some e -> (
         match until with
         | Some limit when e.Heap.time > limit ->

@@ -127,13 +127,13 @@ val current_proc : t -> int
     race detector attributes accesses to. *)
 
 val set_race : t -> Race_api.hooks option -> unit
-(** Install (or remove) happens-before race-detection hooks
-    (DESIGN.md section 18).  When installed, the simulator fires
-    [fork] at {!spawn}, [transfer] when a suspended process is
-    resumed, and release/acquire edges through {!Mutex_r} ownership
-    and {!Service} wake tokens.  Plain {!yield}/{!delay} fire nothing:
-    being scheduled after someone is not synchronization.  [None]
-    (the default) keeps every hook site a single never-taken branch. *)
+(** Install (or remove) happens-before race-detection hooks (DESIGN.md
+    section 18).  When installed, the simulator fires [fork] at {!spawn},
+    [transfer] when a parked process is resumed (not when its timeout
+    expires), and release/acquire edges through {!Mutex_r} ownership and
+    {!Service} wake tokens.  Plain {!yield}/{!delay} fire nothing: being
+    scheduled after someone is not synchronization.  [None] (the default)
+    keeps every hook site a single never-taken branch. *)
 
 val race_of : t -> Race_api.hooks option
 (** The installed hooks, for layers that piggyback on the sim's. *)
@@ -152,12 +152,25 @@ val delay : t -> int -> unit
 val yield : t -> unit
 (** [delay t 0]: give same-time processes a chance to run. *)
 
+val park : ?timeout:int -> ((unit -> unit) -> unit) -> unit
+(** [park ?timeout register] parks the current process and calls
+    [register resume]; calling [resume] (from another process) requeues
+    the parked process at the then-current time, and fires the race
+    detector's [transfer] edge from the resumer to it.  Only the first
+    call of [resume] does anything, so waiter lists may hold stale
+    entries.  With [timeout], the process resumes by itself [timeout]
+    ns later if nobody resumed it first; a timeout cancelled that way
+    neither advances the clock nor keeps {!run} from detecting
+    {!Deadlock}.  This is the primitive every synchronization object is
+    built from.
+
+    [park] takes no simulator: it is an effect handled by the process
+    it runs in, so code that holds only an environment (a [delay]
+    closure) can wait.  Raises [Effect.Unhandled] outside any
+    simulated process. *)
+
 val suspend : t -> ((unit -> unit) -> unit) -> unit
-(** [suspend t register] parks the current process and calls
-    [register resume]; calling [resume] (from another process or the
-    scheduler) requeues the parked process at the then-current time.
-    [resume] must be called at most once.  This is the primitive the
-    synchronization objects are built from. *)
+(** [suspend t register] is [park register]: no timeout. *)
 
 val run : ?until:int -> t -> unit
 (** Execute events until the queue is empty (or simulated time would

@@ -601,6 +601,41 @@ let test_rc_sim_mutex_edges () =
      this exact schedule — flagged anyway"
     [ "unguarded" ] locs
 
+(* A park/notify wake-up is a happens-before edge: the notifier's write
+   is ordered before what the woken fiber reads next.  Seeded race: the
+   same program under a detector whose transfer edge is dropped is
+   flagged, so the notify -> park edge is the only thing ordering it. *)
+let test_rc_sim_park_notify_edge () =
+  let run ~edge =
+    let sim = Sim.create () in
+    let det =
+      Rc.create
+        ~fiber:(fun () -> Sim.current_proc sim)
+        ~now:(fun () -> Sim.now sim)
+        ()
+    in
+    let h = Rc.hooks det in
+    let h =
+      if edge then h
+      else { h with Race_api.transfer = (fun ~src:_ ~dst:_ -> ()) }
+    in
+    Sim.set_race sim (Some h);
+    let waiter = ref None in
+    Sim.spawn sim (fun () ->
+        Sim.park ~timeout:1_000 (fun resume -> waiter := Some resume);
+        h.Race_api.read "handoff");
+    Sim.spawn sim (fun () ->
+        Sim.delay sim 10;
+        h.Race_api.write "handoff";
+        Option.iter (fun resume -> resume ()) !waiter);
+    Sim.run sim;
+    List.map (fun r -> r.Rc.loc) (Rc.races det)
+  in
+  Alcotest.(check (list string)) "the notify orders the handoff" []
+    (run ~edge:true);
+  Alcotest.(check (list string)) "without the edge the handoff races"
+    [ "handoff" ] (run ~edge:false)
+
 (* ------------------------------------------------------------------ *)
 (* Equivalence and partial-order properties *)
 
@@ -727,6 +762,8 @@ let () =
           Alcotest.test_case "sim service wake token edge" `Quick
             test_rc_sim_service_token;
           Alcotest.test_case "sim mutex edges" `Quick test_rc_sim_mutex_edges;
+          Alcotest.test_case "sim park/notify edge" `Quick
+            test_rc_sim_park_notify_edge;
           QCheck_alcotest.to_alcotest prop_fasttrack_equals_naive;
           QCheck_alcotest.to_alcotest prop_vc_partial_order;
         ] );

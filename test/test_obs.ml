@@ -569,18 +569,19 @@ let test_drain_wait_phase () =
 (* The compound case the two previous tests take separately (ISSUE 9,
    satellite 2): one commit whose append stalls on a full log
    ([ph_trunc_wait], subtracted from the log phase) AND whose push then
-   blocks in the in-flight window ([ph_drain_wait]) — the regime a
-   serving workload hits under a real drainer daemon.  Construction: a
-   1-deep window over a log that fits exactly one wide record, with a
-   daemon on the simulator.  Commit 1 pushes and backpressures; the
-   daemon pops the queue and starts flushing its 16 data lines, so
-   commit 2's append finds the log full with the head not yet advanced
-   (empty queue, [draining] set) — the stall path — and its own push
-   then waits for the daemon again.  Both phases land in one ledger
-   entry, and the mark chain must still partition the commit exactly:
-   any double-count (the stall charged to trunc_wait but not subtracted
-   from the log phase, or drain-wait overlapping it) breaks
-   phase_sum == total. *)
+   blocks in the in-flight window ([ph_drain_wait]) — the regime a serving
+   workload hits under a real drainer daemon.  Construction: a 1-deep window
+   over a log that fits exactly one wide record, with a daemon that gets the
+   CPU once per period (as in the serving benchmark's overload arm), so
+   every backpressure wait is a real wait for the daemon's next turn.
+   Commit 1 pushes and backpressures; the daemon's turn comes, it pops the
+   queue and starts flushing its 16 data lines, so commit 2's append finds
+   the log full with the head not yet advanced (empty queue, [draining] set)
+   — the stall path — and its own push then waits a period for the daemon
+   again.  Both phases land in one ledger entry, and the mark chain must
+   still partition the commit exactly: any double-count (the stall charged
+   to trunc_wait but not subtracted from the log phase, or drain-wait
+   overlapping it) breaks phase_sum == total. *)
 let test_stall_and_drain_wait_same_commit () =
   with_tmpdir (fun dir ->
       let m = Scm.Env.make_machine ~seed:7 ~nframes:4096 () in
@@ -613,6 +614,7 @@ let test_stall_and_drain_wait_same_commit () =
           let dview = Region.Pmem.view (Mtm.Txn.pmem pool) sim_env in
           let svc =
             Sim.Service.spawn sim ~work:(fun () ->
+                Sim.delay sim 1_000;
                 Mtm.Txn.drain_pipeline pool dview)
           in
           Mtm.Txn.set_drain_wake pool

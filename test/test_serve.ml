@@ -149,8 +149,8 @@ let test_stall_wakes_parked_drainer () =
 (* The other half of the liveness bound: when the wake goes nowhere —
    a dead or wrong-shard drainer that will never sweep — the producer
    must fall back to draining inline after a bounded wait rather than
-   wedging forever.  The poll budget is 4096 * 60 ns; anything in that
-   order plus the inline drain is fine, an unbounded wait is not. *)
+   wedging forever.  The wait times out after 4096 * 60 ns; anything in
+   that order plus the inline drain is fine, an unbounded wait is not. *)
 let test_stall_bounded_without_drainer () =
   with_tmpdir (fun dir ->
       let m, pmem = stack dir in

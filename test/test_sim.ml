@@ -348,6 +348,80 @@ let test_service_no_lost_wakeup () =
   Alcotest.(check int) "every item processed exactly once" 4 !processed;
   Alcotest.(check bool) "daemon exited" true (Sim.Service.stopped svc)
 
+(* [park]: a notified waiter resumes at the notify, and its cancelled
+   timeout leaves no trace — the clock ends at the last live event, not
+   at the dead timer's instant. *)
+let test_park_notified_before_timeout () =
+  let sim = Sim.create () in
+  let waiter = ref None in
+  let woke_at = ref (-1) in
+  Sim.spawn sim (fun () ->
+      Sim.park ~timeout:1_000 (fun resume -> waiter := Some resume);
+      woke_at := Sim.now sim);
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 30;
+      Option.iter (fun resume -> resume ()) !waiter);
+  Sim.run sim;
+  Alcotest.(check int) "resumed at the notify" 30 !woke_at;
+  Alcotest.(check int) "clock stops at the last live event" 30 (Sim.now sim)
+
+let test_park_times_out () =
+  let sim = Sim.create () in
+  let woke_at = ref (-1) in
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 5;
+      Sim.park ~timeout:200 (fun _ -> ());
+      woke_at := Sim.now sim);
+  Sim.run sim;
+  Alcotest.(check int) "resumed at its timeout" 205 !woke_at
+
+(* Only the first resume counts: a waiter already woken (by a notify or
+   by its timeout) ignores later ones, so wait lists may keep stale
+   entries. *)
+let test_park_second_resume_ignored () =
+  let sim = Sim.create () in
+  let waiter = ref None in
+  let wakes = ref 0 in
+  Sim.spawn sim (fun () ->
+      Sim.park (fun resume -> waiter := Some resume);
+      incr wakes;
+      Sim.delay sim 100;
+      incr wakes);
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 10;
+      let resume = Option.get !waiter in
+      resume ();
+      resume ();
+      Sim.delay sim 10;
+      resume ());
+  Sim.run sim;
+  Alcotest.(check int) "woken once, ran to the end" 2 !wakes;
+  Alcotest.(check int) "no extra wake-ups shifted the clock" 110 (Sim.now sim)
+
+let test_park_untimed_deadlock () =
+  let sim = Sim.create () in
+  Sim.spawn sim (fun () -> Sim.park (fun _ -> ()));
+  Alcotest.check_raises "untimed park with nothing pending"
+    (Sim.Deadlock "1 process(es) suspended with no events") (fun () ->
+      Sim.run sim)
+
+(* A notified timed park leaves a cancelled timer in the queue: it must
+   not count as a pending event when everything else is stuck. *)
+let test_park_cancelled_timer_not_pending () =
+  let sim = Sim.create () in
+  let waiter = ref None in
+  Sim.spawn sim (fun () ->
+      Sim.park ~timeout:1_000 (fun resume -> waiter := Some resume);
+      Sim.park (fun _ -> ()));
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 10;
+      Option.iter (fun resume -> resume ()) !waiter);
+  Alcotest.check_raises "deadlock despite the dead timer"
+    (Sim.Deadlock "1 process(es) suspended with no events") (fun () ->
+      Sim.run sim);
+  Alcotest.(check int) "the dead timer did not advance the clock" 10
+    (Sim.now sim)
+
 let prop_delays_accumulate =
   QCheck.Test.make ~name:"sum of delays equals final clock" ~count:100
     QCheck.(list (int_bound 1000))
@@ -386,6 +460,18 @@ let () =
         [
           Alcotest.test_case "no lost wakeup" `Quick
             test_service_no_lost_wakeup;
+        ] );
+      ( "park",
+        [
+          Alcotest.test_case "notified before its timeout" `Quick
+            test_park_notified_before_timeout;
+          Alcotest.test_case "times out" `Quick test_park_times_out;
+          Alcotest.test_case "second resume ignored" `Quick
+            test_park_second_resume_ignored;
+          Alcotest.test_case "untimed park deadlocks" `Quick
+            test_park_untimed_deadlock;
+          Alcotest.test_case "cancelled timer is not pending" `Quick
+            test_park_cancelled_timer_not_pending;
         ] );
       ( "schedule",
         [
