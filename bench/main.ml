@@ -35,14 +35,16 @@ let json_add section kvs =
 let json_write file =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "{\n  \"schema\": %S,\n  \"sections\": {\n" json_schema);
+    (Printf.sprintf "{\n  \"schema\": %s,\n  \"sections\": {\n"
+       (Obs.Json.string json_schema));
   List.iteri
     (fun i (name, kvs) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: {\n" name);
+      Buffer.add_string buf
+        (Printf.sprintf "    %s: {\n" (Obs.Json.string name));
       List.iteri
         (fun j (k, v) ->
           Buffer.add_string buf
-            (Printf.sprintf "      %S: %.6g%s\n" k v
+            (Printf.sprintf "      %s: %.6g%s\n" (Obs.Json.string k) v
                (if j = List.length kvs - 1 then "" else ",")))
         kvs;
       Buffer.add_string buf
@@ -68,7 +70,7 @@ let json_find ~section ~key text =
     in
     go pos
   in
-  match find_from (Printf.sprintf "%S: {" section) 0 with
+  match find_from (Obs.Json.string section ^ ": {") 0 with
   | None -> None
   | Some sec_start -> (
       let sec_end =
@@ -76,7 +78,7 @@ let json_find ~section ~key text =
         | Some e -> e
         | None -> String.length text
       in
-      match find_from (Printf.sprintf "%S:" key) sec_start with
+      match find_from (Obs.Json.string key ^ ":") sec_start with
       | Some vpos when vpos < sec_end ->
           let rec skip i =
             if i < sec_end && (text.[i] = ' ' || text.[i] = '\t') then
@@ -197,6 +199,15 @@ let sim_env sim (m : Scm.Env.machine) =
   Scm.Env.view m ~delay:(fun ns -> Sim.delay sim ns)
     ~now:(fun () -> Sim.now sim)
 
+(* Per-operation latencies in simulated ns, and throughput over a
+   simulated interval. *)
+let latencies () = Obs.Metrics.make_histogram "bench.latency_ns"
+let mean_us h = Obs.Metrics.hmean h /. 1000.0
+
+let per_s ~ops ~elapsed_ns =
+  if elapsed_ns = 0 then 0.0
+  else float_of_int ops *. 1e9 /. float_of_int elapsed_ns
+
 let sizes = [ 8; 64; 256; 1024; 2048; 4096 ]
 
 (* ------------------------------------------------------------------ *)
@@ -234,8 +245,8 @@ let run_mtm_hashtable ?(latency = Scm.Latency_model.default) ~threads
     Mnemosyne.atomically inst (fun tx ->
         Pstruct.Phashtable.create tx ~slot ~buckets:1024)
   in
-  let wlat = Workload.Stats.create () in
-  let dlat = Workload.Stats.create () in
+  let wlat = latencies () in
+  let dlat = latencies () in
   let lag = 16 in
   for i = 0 to threads - 1 do
     Sim.spawn sim (fun () ->
@@ -248,25 +259,23 @@ let run_mtm_hashtable ?(latency = Scm.Latency_model.default) ~threads
           let t0 = Sim.now sim in
           Mtm.Txn.run th (fun tx ->
               Pstruct.Phashtable.put tx table (keyname k) value);
-          Workload.Stats.add wlat (Sim.now sim - t0);
+          Obs.Metrics.record wlat (Sim.now sim - t0);
           if k >= lag then begin
             let t0 = Sim.now sim in
             Mtm.Txn.run th (fun tx ->
                 ignore
                   (Pstruct.Phashtable.remove tx table (keyname (k - lag))));
-            Workload.Stats.add dlat (Sim.now sim - t0)
+            Obs.Metrics.record dlat (Sim.now sim - t0)
           end
         done)
   done;
   Sim.run sim;
-  let ops = Workload.Stats.count wlat + Workload.Stats.count dlat in
+  let ops = Obs.Metrics.hcount wlat + Obs.Metrics.hcount dlat in
   let result =
     {
-      write_lat_us = Workload.Stats.mean_us wlat;
-      delete_lat_us = Workload.Stats.mean_us dlat;
-      tput_kops =
-        Workload.Stats.throughput_per_s ~ops ~elapsed_ns:(Sim.now sim)
-        /. 1000.0;
+      write_lat_us = mean_us wlat;
+      delete_lat_us = mean_us dlat;
+      tput_kops = per_s ~ops ~elapsed_ns:(Sim.now sim) /. 1000.0;
       aborts = (Mtm.Txn.stats (Mnemosyne.pool inst)).aborts;
     }
   in
@@ -280,8 +289,8 @@ let run_bdb_hashtable ?(latency = Scm.Latency_model.default) ~threads
   let sim = bench_sim () in
   let bdb = Baseline.Bdb.create ~sim ~cache_pages:512 disk in
   let machine = Scm.Env.make_machine ~latency ~nframes:16 () in
-  let wlat = Workload.Stats.create () in
-  let dlat = Workload.Stats.create () in
+  let wlat = latencies () in
+  let dlat = latencies () in
   let lag = 16 in
   for i = 0 to threads - 1 do
     Sim.spawn sim (fun () ->
@@ -292,21 +301,20 @@ let run_bdb_hashtable ?(latency = Scm.Latency_model.default) ~threads
           let value = Workload.Keygen.value kg value_bytes in
           let t0 = Sim.now sim in
           Baseline.Bdb.put bdb env (keyname k) value;
-          Workload.Stats.add wlat (Sim.now sim - t0);
+          Obs.Metrics.record wlat (Sim.now sim - t0);
           if k >= lag then begin
             let t0 = Sim.now sim in
             ignore (Baseline.Bdb.delete bdb env (keyname (k - lag)));
-            Workload.Stats.add dlat (Sim.now sim - t0)
+            Obs.Metrics.record dlat (Sim.now sim - t0)
           end
         done)
   done;
   Sim.run sim;
-  let ops = Workload.Stats.count wlat + Workload.Stats.count dlat in
+  let ops = Obs.Metrics.hcount wlat + Obs.Metrics.hcount dlat in
   {
-    write_lat_us = Workload.Stats.mean_us wlat;
-    delete_lat_us = Workload.Stats.mean_us dlat;
-    tput_kops =
-      Workload.Stats.throughput_per_s ~ops ~elapsed_ns:(Sim.now sim) /. 1000.0;
+    write_lat_us = mean_us wlat;
+    delete_lat_us = mean_us dlat;
+    tput_kops = per_s ~ops ~elapsed_ns:(Sim.now sim) /. 1000.0;
     aborts = 0;
   }
 
@@ -454,9 +462,7 @@ let run_ldap backend_name =
   done;
   Sim.run sim;
   let tput =
-    Workload.Stats.throughput_per_s
-      ~ops:(threads * adds_per_thread)
-      ~elapsed_ns:(Sim.now sim)
+    per_s ~ops:(threads * adds_per_thread) ~elapsed_ns:(Sim.now sim)
   in
   cleanup ();
   tput
@@ -509,9 +515,7 @@ let run_tc ?(threads = 1) ?request_ns backend_name ~value_bytes =
   done;
   Sim.run sim;
   let total_ops = threads * (ops + max 0 (ops - 16)) in
-  let tput =
-    Workload.Stats.throughput_per_s ~ops:total_ops ~elapsed_ns:(Sim.now sim)
-  in
+  let tput = per_s ~ops:total_ops ~elapsed_ns:(Sim.now sim) in
   cleanup ();
   tput
 
@@ -598,7 +602,7 @@ let table5 () =
         in
         let kg = Workload.Keygen.create ~seed:n () in
         let mirror = ref [] in
-        let lat = Workload.Stats.create () in
+        let lat = latencies () in
         let env = (Mnemosyne.view inst).Region.Pmem.env in
         let measured = min 400 (n / 4) in
         for i = 0 to n - 1 do
@@ -607,7 +611,7 @@ let table5 () =
           let t0 = env.now () in
           Mnemosyne.atomically inst (fun tx ->
               Pstruct.Rb_tree.put tx tree key payload);
-          if i >= n - measured then Workload.Stats.add lat (env.now () - t0);
+          if i >= n - measured then Obs.Metrics.record lat (env.now () - t0);
           mirror := (key, payload) :: !mirror
         done;
         (* the Boost-style alternative: DRAM tree serialized to a file *)
@@ -617,7 +621,7 @@ let table5 () =
         ignore
           (Baseline.Serializer.serialize disk senv ~start_block:0 !mirror);
         let ser_us = float_of_int (senv.now () - t0) /. 1000.0 in
-        let ins_us = Workload.Stats.mean_us lat in
+        let ins_us = mean_us lat in
         rm_rf dir;
         [ label; Printf.sprintf "%.1f us" ins_us;
           Printf.sprintf "%.0f us" ser_us;
@@ -714,7 +718,7 @@ let run_truncation_mode ~mode ~value_bytes ~idle_pct =
     Mnemosyne.atomically inst (fun tx ->
         Pstruct.Phashtable.create tx ~slot ~buckets:512)
   in
-  let lat = Workload.Stats.create () in
+  let lat = latencies () in
   let done_flag = ref false in
   let producer_thread = ref None in
   (* The truncation thread shares the machine with the producer: it only
@@ -735,7 +739,7 @@ let run_truncation_mode ~mode ~value_bytes ~idle_pct =
               (Bytes.of_string (Printf.sprintf "k%06d" k))
               (Workload.Keygen.value kg value_bytes));
         let op_ns = Sim.now sim - t0 in
-        Workload.Stats.add lat op_ns;
+        Obs.Metrics.record lat op_ns;
         (* duty cycle: idle_pct percent of wall time idle *)
         let idle_ns = op_ns * idle_pct / (100 - idle_pct) in
         idle_tokens := !idle_tokens + idle_ns;
@@ -760,7 +764,7 @@ let run_truncation_mode ~mode ~value_bytes ~idle_pct =
         | None -> ());
   Sim.run sim;
   rm_rf dir;
-  Workload.Stats.mean_us lat
+  mean_us lat
 
 let figure6 () =
   Workload.Report.section "figure6"
@@ -885,17 +889,17 @@ let ablation_undo () =
     in
     let env = (Mnemosyne.view inst).Region.Pmem.env in
     let kg = Workload.Keygen.create () in
-    let lat = Workload.Stats.create () in
+    let lat = latencies () in
     for k = 0 to 149 do
       let t0 = env.now () in
       Mnemosyne.atomically inst (fun tx ->
           Pstruct.Phashtable.put tx table
             (Bytes.of_string (Printf.sprintf "k%06d" k))
             (Workload.Keygen.value kg value_bytes));
-      Workload.Stats.add lat (env.now () - t0)
+      Obs.Metrics.record lat (env.now () - t0)
     done;
     rm_rf dir;
-    Workload.Stats.mean_us lat
+    mean_us lat
   in
   let rows =
     List.map
@@ -1173,14 +1177,14 @@ let kvstore () =
   in
   let env = (Mnemosyne.view inst).Region.Pmem.env in
   let kg = Workload.Keygen.create ~seed:11 () in
-  let lat = Workload.Stats.create () in
+  let lat = latencies () in
   let lag = 16 in
   for k = 0 to 499 do
     let key k = Bytes.of_string (Printf.sprintf "kv%06d" k) in
     let t0 = env.now () in
     Mnemosyne.atomically inst (fun tx ->
         Pstruct.Phashtable.put tx table (key k) (Workload.Keygen.value kg 256));
-    Workload.Stats.add lat (env.now () - t0);
+    Obs.Metrics.record lat (env.now () - t0);
     if k >= lag then
       Mnemosyne.atomically inst (fun tx ->
           ignore (Pstruct.Phashtable.remove tx table (key (k - lag))))
@@ -1211,18 +1215,20 @@ let kvstore () =
     ];
   Workload.Report.note
     (Printf.sprintf "%d commits; whole-txn latency %.2f us mean, %.2f us p99"
-       (Obs.Metrics.hcount total) (Workload.Stats.mean_us lat)
-       (float_of_int (Workload.Stats.percentile_ns lat 99.0) /. 1000.0));
-  (match (!trace_file, (Mnemosyne.obs inst).Obs.trace) with
-  | Some file, Some tr ->
-      Obs.Trace.save_chrome tr file;
+       (Obs.Metrics.hcount total) (mean_us lat)
+       (float_of_int (Obs.Metrics.percentile lat 99.0) /. 1000.0));
+  (match !trace_file with
+  | Some file ->
+      Obs.Trace.save_chrome obs.Obs.flight file;
       Workload.Report.note
         (Printf.sprintf
            "chrome trace: %d events -> %s (%d dropped); load in \
             chrome://tracing or Perfetto"
-           (Obs.Trace.length tr) file (Obs.Trace.dropped tr));
-      print_string (Obs.Trace.summary tr)
-  | _ -> ());
+           (List.length (Obs.Flight.traced obs.Obs.flight))
+           file
+           (Obs.Flight.dropped obs.Obs.flight));
+      print_string (Obs.Trace.summary obs.Obs.flight)
+  | None -> ());
   if !show_metrics then begin
     Printf.printf "\ntail attribution (slowest %d of %d transactions):\n%s"
       (Obs.Txprof.captured tp) (Obs.Txprof.count tp) (Obs.Txprof.table tp);

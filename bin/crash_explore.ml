@@ -228,7 +228,7 @@ let run_phase cfg ~dev ~dir ~seed ~crash_at ~updates =
   with
   | inst, open_ops -> (machine, obs, chk, Done (inst, open_ops, Cp.count cp))
   | exception Cp.Simulated_crash { op; kind } ->
-      Obs.instant obs (Obs.Trace.Phase "simulated-crash") ~arg:op;
+      Obs.instant obs Obs.Trace.Crash ~arg:op;
       Scm.Crash.inject machine;
       (machine, obs, chk, Crashed (op, kind))
 
@@ -267,12 +267,11 @@ let verify_phase cfg inst ~chk =
                    (String.trim (Check.Pmfsck.render report))))
 
 let dump_trace cfg ~obs ~name =
-  match obs.Obs.trace with
-  | None -> None
-  | Some tr ->
-      let path = Filename.concat cfg.base name in
-      Obs.Trace.save_chrome tr path;
-      Some path
+  if not (Obs.tracing obs) then None
+  else
+    let path = Filename.concat cfg.base name in
+    Obs.Trace.save_chrome obs.Obs.flight path;
+    Some path
 
 (* The always-on flight recorder: available for every failure, traced
    run or not — the ring holds the last events leading up to it. *)
@@ -556,20 +555,6 @@ let select_points ~total ~from_ ~to_ ~stride ~max_points =
     go [] lo
   end
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Machine-readable sweep outcome, for CI artifacts. *)
 let write_report cfg ~path ~points ~failures =
   Out_channel.with_open_text path (fun oc ->
@@ -580,11 +565,11 @@ let write_report cfg ~path ~points ~failures =
       List.iteri
         (fun i f ->
           if i > 0 then output_char oc ',';
-          Printf.fprintf oc "{\"op\":%d,%s\"msg\":\"%s\"}" f.op
+          Printf.fprintf oc "{\"op\":%d,%s\"msg\":%s}" f.op
             (match f.second with
             | Some j -> Printf.sprintf "\"second\":%d," j
             | None -> "")
-            (json_escape f.msg))
+            (Obs.Json.string f.msg))
         failures;
       output_string oc "]}\n")
 

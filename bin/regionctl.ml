@@ -151,8 +151,8 @@ let run_stats dir json =
       List.iteri
         (fun i (name, addr, keys) ->
           if i > 0 then Buffer.add_string buf ", ";
-          Printf.bprintf buf "{\"root\": \"%s\", \"addr\": %d, \"keys\": %d}"
-            name addr keys)
+          Printf.bprintf buf "{\"root\": %s, \"addr\": %d, \"keys\": %d}"
+            (Obs.Json.string name) addr keys)
         tenant_occ;
       Buffer.add_string buf "],\n";
       Printf.bprintf buf "  \"metrics\": %s\n}"

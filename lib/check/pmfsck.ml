@@ -575,20 +575,6 @@ let render r =
     r.findings;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json r =
   let b = Buffer.create 512 in
   Buffer.add_string b "{\"findings\":[";
@@ -596,8 +582,8 @@ let to_json r =
     (fun i f ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "{\"kind\":\"%s\",\"addr\":%d,\"detail\":\"%s\"}"
-           (kind_name f.kind) f.addr (json_escape f.detail)))
+        (Printf.sprintf "{\"kind\":\"%s\",\"addr\":%d,\"detail\":%s}"
+           (kind_name f.kind) f.addr (Obs.Json.string f.detail)))
     r.findings;
   Buffer.add_string b
     (Printf.sprintf

@@ -98,11 +98,11 @@ val close : t -> unit
 val machine : t -> Scm.Env.machine
 
 val obs : t -> Obs.t
-(** The machine's observability handle: counters and commit-latency
-    histograms are always on; call {!Obs.enable_trace} on it (or pass
-    [?obs] with tracing enabled to {!open_instance}) to also record
-    trace events.  {!reincarnate} carries the handle across the crash,
-    so metrics span reboots. *)
+(** The machine's observability handle: counters, commit-latency
+    histograms and the flight recorder are always on; call
+    {!Obs.enable_trace} on it (or pass [?obs] with tracing enabled to
+    {!open_instance}) to also keep an exportable trace.  {!reincarnate}
+    carries the handle across the crash, so metrics span reboots. *)
 
 val pmem : t -> Region.Pmem.t
 val heap : t -> Pmheap.Heap.t

@@ -19,7 +19,6 @@ type config = {
   truncation : truncation;
   version_mgmt : version_mgmt;
   lock_bits : int;
-  max_attempts : int;
   (* Scalable-commit knobs.  The defaults (lease 1, one stripe, no
      group commit) reproduce the original shared-point protocol
      bit-identically: sim figures, crash-point indices and recorded
@@ -45,7 +44,6 @@ let default_config =
     truncation = Sync;
     version_mgmt = Lazy_redo;
     lock_bits = 18;
-    max_attempts = 64;
     ts_lease = 1;
     lock_stripes = 1;
     group_commit = false;
@@ -58,6 +56,9 @@ let default_config =
 exception Contention
 exception Cancelled
 exception Abort_internal
+
+(* Attempts before [run] gives up and raises [Contention]. *)
+let max_attempts = 64
 
 (* A commit whose log span is awaiting asynchronous truncation; the
    daemon only needs the record's span and its write addresses (sorted
@@ -1658,7 +1659,7 @@ let run th f =
          th.prof_bytes <- 0
        end);
       let rec attempt n =
-        if n > pool.cfg.max_attempts then begin
+        if n > max_attempts then begin
           pool.contention_failures <- pool.contention_failures + 1;
           set_running th 0;
           raise Contention

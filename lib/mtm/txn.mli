@@ -64,7 +64,6 @@ type config = {
   truncation : truncation;
   version_mgmt : version_mgmt;
   lock_bits : int;  (** Per-stripe lock table size = 2^lock_bits. *)
-  max_attempts : int;  (** Retries before [Contention] is raised. *)
   ts_lease : int;
       (** Commit timestamps leased to a thread per shared-counter
           transaction.  1 (the default) is the original draw-per-commit
@@ -114,7 +113,7 @@ val default_config : config
     no group commit) — the exact original protocol. *)
 
 exception Contention
-(** A transaction aborted [max_attempts] times in a row. *)
+(** A transaction aborted 64 times in a row. *)
 
 exception Cancelled
 (** Raised past {!run} when the user calls {!cancel}. *)

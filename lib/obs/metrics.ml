@@ -192,145 +192,35 @@ let dump t =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots and export formats                                        *)
+(* JSON export                                                         *)
 
-type hist_snapshot = {
-  hs_name : string;
-  hs_count : int;
-  hs_sum : int;
-  hs_min : int;
-  hs_max : int;
-  hs_mean : float;
-  hs_p50 : int;
-  hs_p90 : int;
-  hs_p99 : int;
-  hs_p999 : int;
-}
-
-type snapshot = {
-  snap_counters : (string * int) list;
-  snap_gauges : (string * int) list;
-  snap_histograms : hist_snapshot list;
-}
-
-(* Gauges sample their subject at snapshot time: a snapshot is the
-   point-in-time view, everything else is cumulative. *)
-let snapshot t =
-  let counters = ref [] and gauges = ref [] and hists = ref [] in
-  iter_counters t (fun c -> counters := (c.c_name, c.count) :: !counters);
-  iter_gauges t (fun g -> gauges := (g.g_name, g.sample ()) :: !gauges);
-  iter_histograms t (fun h ->
-      hists :=
-        {
-          hs_name = h.h_name;
-          hs_count = h.n;
-          hs_sum = h.sum;
-          hs_min = hmin h;
-          hs_max = hmax h;
-          hs_mean = hmean h;
-          hs_p50 = percentile h 50.0;
-          hs_p90 = percentile h 90.0;
-          hs_p99 = percentile h 99.0;
-          hs_p999 = percentile h 99.9;
-        }
-        :: !hists);
-  {
-    snap_counters = List.rev !counters;
-    snap_gauges = List.rev !gauges;
-    snap_histograms = List.rev !hists;
-  }
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let snapshot_to_json s =
+(* Gauges sample their subject here: the document is the point-in-time
+   view, everything else in it is cumulative. *)
+let to_json t =
   let buf = Buffer.create 4096 in
-  let scalar_section name kvs =
-    Buffer.add_string buf (Printf.sprintf "  \"%s\": {" name);
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "\n    \"%s\": %d" (json_escape k) v))
-      kvs;
-    Buffer.add_string buf (if kvs = [] then "}" else "\n  }")
+  (* one member per line; an empty section stays "{}" *)
+  let section name iter member =
+    Printf.bprintf buf "  %s: {" (Json.string name);
+    let first = ref true in
+    iter t (fun x ->
+        Buffer.add_string buf (if !first then "\n    " else ",\n    ");
+        first := false;
+        member x);
+    Buffer.add_string buf (if !first then "}" else "\n  }")
   in
   Buffer.add_string buf "{\n";
-  scalar_section "counters" s.snap_counters;
+  section "counters" iter_counters (fun c ->
+      Printf.bprintf buf "%s: %d" (Json.string c.c_name) c.count);
   Buffer.add_string buf ",\n";
-  scalar_section "gauges" s.snap_gauges;
-  Buffer.add_string buf ",\n  \"histograms\": {";
-  List.iteri
-    (fun i h ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    \"%s\": {\"count\": %d, \"sum\": %d, \"min\": %d, \"max\": \
-            %d, \"mean\": %.6g, \"p50\": %d, \"p90\": %d, \"p99\": %d, \
-            \"p999\": %d}"
-           (json_escape h.hs_name) h.hs_count h.hs_sum h.hs_min h.hs_max
-           h.hs_mean h.hs_p50 h.hs_p90 h.hs_p99 h.hs_p999))
-    s.snap_histograms;
-  Buffer.add_string buf
-    (if s.snap_histograms = [] then "}\n}\n" else "\n  }\n}\n");
+  section "gauges" iter_gauges (fun g ->
+      Printf.bprintf buf "%s: %d" (Json.string g.g_name) (g.sample ()));
+  Buffer.add_string buf ",\n";
+  section "histograms" iter_histograms (fun h ->
+      Printf.bprintf buf
+        "%s: {\"count\": %d, \"sum\": %d, \"min\": %d, \"max\": %d, \"mean\": \
+         %.6g, \"p50\": %d, \"p90\": %d, \"p99\": %d, \"p999\": %d}"
+        (Json.string h.h_name) h.n h.sum (hmin h) (hmax h) (hmean h)
+        (percentile h 50.0) (percentile h 90.0) (percentile h 99.0)
+        (percentile h 99.9));
+  Buffer.add_string buf "\n}\n";
   Buffer.contents buf
-
-let to_json t = snapshot_to_json (snapshot t)
-
-(* OpenMetrics-style exposition: counters get a [_total] sample,
-   histograms are rendered as summaries with quantile labels.  Metric
-   names are sanitized to the [a-zA-Z0-9_:] alphabet. *)
-let om_name s =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c
-      | _ -> '_')
-    s
-
-let snapshot_to_openmetrics s =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (name, v) ->
-      let n = om_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" n);
-      Buffer.add_string buf (Printf.sprintf "%s_total %d\n" n v))
-    s.snap_counters;
-  List.iter
-    (fun (name, v) ->
-      let n = om_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" n);
-      Buffer.add_string buf (Printf.sprintf "%s %d\n" n v))
-    s.snap_gauges;
-  List.iter
-    (fun h ->
-      let n = om_name h.hs_name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s summary\n" n);
-      List.iter
-        (fun (q, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s{quantile=\"%s\"} %d\n" n q v))
-        [
-          ("0.5", h.hs_p50);
-          ("0.9", h.hs_p90);
-          ("0.99", h.hs_p99);
-          ("0.999", h.hs_p999);
-        ];
-      Buffer.add_string buf (Printf.sprintf "%s_sum %d\n" n h.hs_sum);
-      Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n h.hs_count))
-    s.snap_histograms;
-  Buffer.add_string buf "# EOF\n";
-  Buffer.contents buf
-
-let to_openmetrics t = snapshot_to_openmetrics (snapshot t)

@@ -98,46 +98,10 @@ val iter_histograms : t -> (histogram -> unit) -> unit
 val dump : t -> string
 (** Human-readable table of every counter, gauge and histogram. *)
 
-(** {1 Snapshots and export}
-
-    A snapshot is an immutable copy of the registry at one instant:
-    counters and gauges as [(name, value)] pairs, histograms reduced to
-    count/sum/min/max/mean and fixed tail quantiles.  Gauges are
-    sampled at snapshot time. *)
-
-type hist_snapshot = {
-  hs_name : string;
-  hs_count : int;
-  hs_sum : int;
-  hs_min : int;
-  hs_max : int;
-  hs_mean : float;
-  hs_p50 : int;
-  hs_p90 : int;
-  hs_p99 : int;
-  hs_p999 : int;
-}
-
-type snapshot = {
-  snap_counters : (string * int) list;  (** Ascending name order. *)
-  snap_gauges : (string * int) list;  (** Ascending name order. *)
-  snap_histograms : hist_snapshot list;  (** Ascending name order. *)
-}
-
-val snapshot : t -> snapshot
-
-val snapshot_to_json : snapshot -> string
-(** A JSON document: [{"counters": {..}, "gauges": {..},
-    "histograms": {name: {count, sum, min, max, mean, p50, p90, p99,
-    p999}}}]. *)
+(** {1 Export} *)
 
 val to_json : t -> string
-(** [snapshot_to_json (snapshot t)]. *)
-
-val snapshot_to_openmetrics : snapshot -> string
-(** OpenMetrics-style text exposition: counters as [name_total],
-    gauges plain, histograms as summaries with [quantile] labels;
-    names sanitized to the metric-name alphabet; ends with [# EOF]. *)
-
-val to_openmetrics : t -> string
-(** [snapshot_to_openmetrics (snapshot t)]. *)
+(** A JSON document: [{"counters": {..}, "gauges": {..},
+    "histograms": {name: {count, sum, min, max, mean, p50, p90, p99,
+    p999}}}], each section in ascending name order.  Gauges are sampled
+    when the document is built. *)

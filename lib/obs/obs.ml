@@ -2,89 +2,55 @@ module Metrics = Metrics
 module Trace = Trace
 module Flight = Flight
 module Txprof = Txprof
+module Json = Json
 
 type t = {
   metrics : Metrics.t;
   flight : Flight.t;
-  mutable trace : Trace.t option;
   mutable clock : unit -> int;
   mutable cur_tid : int;
 }
 
-let create ?(tracing = false) ?trace_capacity ?flight_capacity () =
-  {
-    metrics = Metrics.create ();
-    flight = Flight.create ?capacity:flight_capacity ();
-    trace =
-      (if tracing then Some (Trace.create ?capacity:trace_capacity ())
-       else None);
-    clock = (fun () -> 0);
-    cur_tid = 0;
-  }
+let create ?(tracing = false) () =
+  let flight = Flight.create () in
+  if tracing then Flight.start_trace flight;
+  { metrics = Metrics.create (); flight; clock = (fun () -> 0); cur_tid = 0 }
 
-let tracing t = t.trace <> None
-
-let enable_trace ?capacity t =
-  if t.trace = None then t.trace <- Some (Trace.create ?capacity ())
-
-let disable_trace t = t.trace <- None
+let tracing t = Flight.tracing t.flight
+let enable_trace t = Flight.start_trace t.flight
 let set_clock t f = t.clock <- f
 let now t = t.clock ()
 let set_tid t tid = t.cur_tid <- tid
 
-(* Every emitter feeds the always-on flight ring first (plain int
-   stores into preallocated slots), then the opt-in trace behind its
-   one-branch guard.  Neither charges simulated time. *)
-
-let instant t kind ~arg =
-  let ts = t.clock () in
-  Flight.record t.flight ~code:(Trace.kind_code kind) ~ts ~dur:(-1)
-    ~tid:t.cur_tid ~arg;
-  match t.trace with
-  | None -> ()
-  | Some tr -> Trace.instant tr ~tid:t.cur_tid ~ts kind ~arg
-
-let instant_at t kind ~ts ~arg =
-  Flight.record t.flight ~code:(Trace.kind_code kind) ~ts ~dur:(-1)
-    ~tid:t.cur_tid ~arg;
-  match t.trace with
-  | None -> ()
-  | Some tr -> Trace.instant tr ~tid:t.cur_tid ~ts kind ~arg
+(* Every emitter records once, into the ring: plain int stores, no
+   simulated-time charge. *)
 
 let complete t kind ~ts ~dur ~arg =
   Flight.record t.flight ~code:(Trace.kind_code kind) ~ts ~dur ~tid:t.cur_tid
-    ~arg;
-  match t.trace with
-  | None -> ()
-  | Some tr -> Trace.complete tr ~tid:t.cur_tid ~ts ~dur kind ~arg
+    ~arg
 
-let span t kind ~arg f =
-  let ts = t.clock () in
-  let result = f () in
-  let dur = max 0 (t.clock () - ts) in
-  Flight.record t.flight ~code:(Trace.kind_code kind) ~ts ~dur ~tid:t.cur_tid
-    ~arg;
-  (match t.trace with
-  | None -> ()
-  | Some tr -> Trace.complete tr ~tid:t.cur_tid ~ts ~dur kind ~arg);
-  result
-
-(* Causal flow stamps: codes 20..22 in the flight ring, Chrome flow
-   events in the trace. *)
-
-let flow_code = function `Start -> 20 | `Step -> 21 | `End -> 22
+let instant_at t kind ~ts ~arg = complete t kind ~ts ~dur:(-1) ~arg
+let instant t kind ~arg = instant_at t kind ~ts:(t.clock ()) ~arg
 
 let flow t ~phase ~id =
-  let ts = t.clock () in
-  Flight.record t.flight ~code:(flow_code phase) ~ts ~dur:(-1) ~tid:t.cur_tid
-    ~arg:id;
-  match t.trace with
-  | None -> ()
-  | Some tr -> Trace.flow tr ~tid:t.cur_tid ~ts ~phase ~id
+  Flight.record t.flight ~code:(Trace.flow_code phase) ~ts:(t.clock ())
+    ~dur:(-1) ~tid:t.cur_tid ~arg:id
 
 let flight_dump t =
   let buf = Buffer.create 8192 in
-  Buffer.add_string buf (Flight.dump t.flight);
+  let held = Flight.last t.flight Flight.flight_capacity in
+  Printf.bprintf buf
+    "flight recorder: last %d of %d events (oldest first, sim ns)\n"
+    (List.length held) (Flight.total t.flight);
+  Printf.bprintf buf "%12s %5s %-18s %12s %14s\n" "ts" "tid" "event" "dur"
+    "arg";
+  List.iter
+    (fun (e : Flight.entry) ->
+      Printf.bprintf buf "%12d %5d %-18s %12s %14d\n" e.ts e.tid
+        (Trace.code_name e.code)
+        (if e.dur < 0 then "-" else string_of_int e.dur)
+        e.arg)
+    held;
   Buffer.add_string buf "\nmetrics snapshot:\n";
   Buffer.add_string buf (Metrics.dump t.metrics);
   Buffer.contents buf

@@ -1,15 +1,15 @@
-(** Observability: one handle bundling a metrics registry, an
-    always-on flight recorder, an optional event trace, and the
+(** Observability: one handle bundling a metrics registry, the event
+    ring that serves as both flight recorder and trace, and the
     simulated clock they are stamped with.
 
     One [Obs.t] belongs to one simulated machine ({!Scm.Env.machine})
     and is threaded through every layer above it.  Metrics are always
     live — recording them never charges simulated time, so they cannot
-    perturb an experiment.  The flight recorder is likewise always on:
-    every emitted event lands in its small preallocated ring with no
-    allocation, so the most recent window is available when a run
-    fails.  Tracing is off by default; the full trace ring only
-    records behind its one-branch guard.
+    perturb an experiment.  Every emitted event lands once in the
+    handle's {!Flight} ring, with no allocation: the last 256 are always
+    there for a failure report, and with tracing on the ring grows to
+    hold up to 65536 entries and everything recorded since tracing
+    started is the trace ({!Trace.to_chrome_json}).
 
     Timestamps come either from the caller (layers that hold an
     {!Scm.Env.t} pass [env.now ()] explicitly) or from the handle's
@@ -22,23 +22,23 @@ module Metrics = Metrics
 module Trace = Trace
 module Flight = Flight
 module Txprof = Txprof
+module Json = Json
 
 type t = {
   metrics : Metrics.t;
   flight : Flight.t;
-  mutable trace : Trace.t option;
   mutable clock : unit -> int;
   mutable cur_tid : int;
 }
 
-val create :
-  ?tracing:bool -> ?trace_capacity:int -> ?flight_capacity:int -> unit -> t
+val create : ?tracing:bool -> unit -> t
 (** A fresh handle; metrics and flight recorder on, trace off unless
     [tracing]. *)
 
 val tracing : t -> bool
-val enable_trace : ?capacity:int -> t -> unit
-val disable_trace : t -> unit
+
+val enable_trace : t -> unit
+(** Start the trace: events recorded from now on are exported. *)
 
 val set_clock : t -> (unit -> int) -> unit
 val now : t -> int
@@ -49,9 +49,8 @@ val set_tid : t -> int -> unit
 
 (** {1 Emitters}
 
-    Each feeds the always-on flight ring (a handful of int stores,
-    no allocation), then the opt-in trace behind a one-branch guard.
-    None charges simulated time. *)
+    Each records one ring entry (a handful of int stores, no
+    allocation) and charges no simulated time. *)
 
 val instant : t -> Trace.kind -> arg:int -> unit
 (** Instant event stamped with the handle's clock. *)
@@ -59,15 +58,10 @@ val instant : t -> Trace.kind -> arg:int -> unit
 val instant_at : t -> Trace.kind -> ts:int -> arg:int -> unit
 val complete : t -> Trace.kind -> ts:int -> dur:int -> arg:int -> unit
 
-val span : t -> Trace.kind -> arg:int -> (unit -> 'a) -> 'a
-(** Run the thunk; record one complete event covering it (timestamps
-    from the handle's clock). *)
-
 val flow : t -> phase:[ `Start | `Step | `End ] -> id:int -> unit
 (** Record one causal flow stamp for transaction [id] at the handle's
-    clock: flight codes 20..22 always, a Chrome flow event when
-    tracing.  See {!Trace.flow}. *)
+    clock (see {!Trace.flow_code}). *)
 
 val flight_dump : t -> string
-(** The failure-report payload: the flight ring's last-N events plus a
-    metrics snapshot, both human-readable. *)
+(** The failure-report payload: the ring's last 256 events plus a
+    metrics dump, both human-readable. *)

@@ -17,36 +17,9 @@ type kind =
   | Swap_out
   | Sched_decision
   | Pmcheck_violation
-  | Txn_flow
   | Req_shed
-  | Phase of string
+  | Crash
 
-let kind_name = function
-  | Txn_begin -> "Txn_begin"
-  | Txn_commit -> "Txn_commit"
-  | Txn_abort -> "Txn_abort"
-  | Txn_retry -> "Txn_retry"
-  | Fence -> "Fence"
-  | Flush -> "Flush"
-  | Wc_drain -> "Wc_drain"
-  | Cache_evict -> "Cache_evict"
-  | Log_append -> "Log_append"
-  | Log_truncate -> "Log_truncate"
-  | Log_stall -> "Log_stall"
-  | Recovery_replay -> "Recovery_replay"
-  | Heap_alloc -> "Heap_alloc"
-  | Heap_free -> "Heap_free"
-  | Swap_in -> "Swap_in"
-  | Swap_out -> "Swap_out"
-  | Sched_decision -> "Sched_decision"
-  | Pmcheck_violation -> "Pmcheck_violation"
-  | Txn_flow -> "Txn_flow"
-  | Req_shed -> "Req_shed"
-  | Phase s -> s
-
-(* Stable small-integer codes for the allocation-free flight recorder,
-   which cannot store the kind constructors themselves (a [Phase]
-   payload would have to be retained). *)
 let kind_code = function
   | Txn_begin -> 0
   | Txn_commit -> 1
@@ -66,147 +39,41 @@ let kind_code = function
   | Swap_out -> 15
   | Sched_decision -> 16
   | Pmcheck_violation -> 17
-  | Txn_flow -> 18
-  | Phase _ -> 19
-  (* 20..22 are reserved by Obs for flight-ring flow markers *)
-  | Req_shed -> 23
+  | Req_shed -> 18
+  | Crash -> 19
 
-(* 20..22 are reserved by Obs for flow start/step/end pushed straight
-   into the flight ring. *)
-let code_name = function
-  | 0 -> "Txn_begin"
-  | 1 -> "Txn_commit"
-  | 2 -> "Txn_abort"
-  | 3 -> "Txn_retry"
-  | 4 -> "Fence"
-  | 5 -> "Flush"
-  | 6 -> "Wc_drain"
-  | 7 -> "Cache_evict"
-  | 8 -> "Log_append"
-  | 9 -> "Log_truncate"
-  | 10 -> "Log_stall"
-  | 11 -> "Recovery_replay"
-  | 12 -> "Heap_alloc"
-  | 13 -> "Heap_free"
-  | 14 -> "Swap_in"
-  | 15 -> "Swap_out"
-  | 16 -> "Sched_decision"
-  | 17 -> "Pmcheck_violation"
-  | 18 -> "Txn_flow"
-  | 19 -> "Phase"
-  | 20 -> "Flow_start"
-  | 21 -> "Flow_step"
-  | 22 -> "Flow_end"
-  | 23 -> "Req_shed"
-  | _ -> "?"
+let flow_code = function `Start -> 20 | `Step -> 21 | `End -> 22
 
-let arg_label = function
-  | Fence | Heap_alloc -> "bytes"
-  | Flush | Heap_free -> "addr"
-  | Wc_drain -> "words"
-  | Cache_evict -> "line"
-  | Log_append | Log_truncate | Log_stall -> "words"
-  | Txn_begin | Txn_commit | Txn_abort | Txn_retry -> "writes"
-  | Recovery_replay -> "ts"
-  | Swap_in | Swap_out -> "frame"
-  | Sched_decision -> "key"
-  | Pmcheck_violation -> "addr"
-  | Txn_flow -> "txid"
-  | Req_shed -> "tenant"
-  | Phase _ -> "value"
+(* Name and payload label of every code, kinds then flows. *)
+let codes =
+  [|
+    ("Txn_begin", "writes");
+    ("Txn_commit", "writes");
+    ("Txn_abort", "writes");
+    ("Txn_retry", "writes");
+    ("Fence", "bytes");
+    ("Flush", "addr");
+    ("Wc_drain", "words");
+    ("Cache_evict", "line");
+    ("Log_append", "words");
+    ("Log_truncate", "words");
+    ("Log_stall", "words");
+    ("Recovery_replay", "ts");
+    ("Heap_alloc", "bytes");
+    ("Heap_free", "addr");
+    ("Swap_in", "frame");
+    ("Swap_out", "frame");
+    ("Sched_decision", "key");
+    ("Pmcheck_violation", "addr");
+    ("Req_shed", "tenant");
+    ("Crash", "op");
+    ("Flow_start", "txid");
+    ("Flow_step", "txid");
+    ("Flow_end", "txid");
+  |]
 
-(* [flow] distinguishes the Chrome flow-event phases that stitch a
-   transaction's deferred work back to it: 0 = not a flow event,
-   1 = start ("s"), 2 = step ("t"), 3 = end ("f").  The flow id — the
-   owning transaction id — travels in [arg]. *)
-type event = {
-  kind : kind;
-  ts : int;
-  dur : int;
-  tid : int;
-  arg : int;
-  flow : int;
-}
-
-let dummy = { kind = Fence; ts = 0; dur = -1; tid = 0; arg = 0; flow = 0 }
-
-type t = {
-  cap : int;
-  ring : event array;
-  mutable len : int;
-  mutable next : int;
-  mutable n_dropped : int;
-  open_spans : (int, (kind * int * int) Stack.t) Hashtbl.t;
-}
-
-let create ?(capacity = 65536) () =
-  if capacity < 1 then invalid_arg "Trace.create: capacity";
-  {
-    cap = capacity;
-    ring = Array.make capacity dummy;
-    len = 0;
-    next = 0;
-    n_dropped = 0;
-    open_spans = Hashtbl.create 8;
-  }
-
-let capacity t = t.cap
-let length t = t.len
-let dropped t = t.n_dropped
-
-let clear t =
-  t.len <- 0;
-  t.next <- 0;
-  t.n_dropped <- 0;
-  Hashtbl.reset t.open_spans
-
-let push t ev =
-  t.ring.(t.next) <- ev;
-  t.next <- (t.next + 1) mod t.cap;
-  if t.len < t.cap then t.len <- t.len + 1 else t.n_dropped <- t.n_dropped + 1
-
-let instant t ~tid ~ts kind ~arg =
-  push t { kind; ts; dur = -1; tid; arg; flow = 0 }
-
-let complete t ~tid ~ts ~dur kind ~arg =
-  push t { kind; ts; dur; tid; arg; flow = 0 }
-
-let flow_phase_code = function `Start -> 1 | `Step -> 2 | `End -> 3
-
-let flow t ~tid ~ts ~phase ~id =
-  push t
-    {
-      kind = Txn_flow;
-      ts;
-      dur = -1;
-      tid;
-      arg = id;
-      flow = flow_phase_code phase;
-    }
-
-let begin_span t ~tid ~ts kind ~arg =
-  let stack =
-    match Hashtbl.find_opt t.open_spans tid with
-    | Some s -> s
-    | None ->
-        let s = Stack.create () in
-        Hashtbl.replace t.open_spans tid s;
-        s
-  in
-  Stack.push (kind, ts, arg) stack
-
-let end_span t ~tid ~ts =
-  match Hashtbl.find_opt t.open_spans tid with
-  | None -> ()
-  | Some stack ->
-      if not (Stack.is_empty stack) then begin
-        let kind, ts0, arg = Stack.pop stack in
-        complete t ~tid ~ts:ts0 ~dur:(max 0 (ts - ts0)) kind ~arg
-      end
-
-let events t =
-  let start = (t.next - t.len + t.cap) mod t.cap in
-  List.init t.len (fun i -> t.ring.((start + i) mod t.cap))
+let code_name c = fst codes.(c)
+let arg_label c = snd codes.(c)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export                                           *)
@@ -216,114 +83,91 @@ let events t =
    lost. *)
 let us ns = Printf.sprintf "%d.%03d" (ns / 1000) (ns mod 1000)
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let event_json buf ev =
-  if ev.flow > 0 then begin
-    (* Flow events bind on (cat, name, id): every phase of one
-       transaction's flow shares name "txn" and id = txid.  The end
-       event binds to the enclosing slice ("bp":"e") so the arrow
-       lands on the span that retired the work. *)
-    Buffer.add_string buf
-      (Printf.sprintf "{\"name\":\"txn\",\"cat\":\"flow\",\"ph\":\"%s\""
-         (match ev.flow with 1 -> "s" | 2 -> "t" | _ -> "f"));
-    if ev.flow = 3 then Buffer.add_string buf ",\"bp\":\"e\"";
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\"id\":%d,\"ts\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"txid\":%d}}"
-         ev.arg (us ev.ts) ev.tid ev.arg)
+let event_json buf (e : Flight.entry) =
+  if e.code >= 20 then begin
+    (* Codes 20..22 are flow start/step/end.  Flow events bind on (cat,
+       name, id): every phase of one transaction's flow shares name
+       "txn" and id = txid.  The end event binds to the enclosing slice
+       ("bp":"e") so the arrow lands on the span that retired the
+       work. *)
+    Printf.bprintf buf "{\"name\":\"txn\",\"cat\":\"flow\",\"ph\":\"%s\""
+      (match e.code with 20 -> "s" | 21 -> "t" | _ -> "f");
+    if e.code = 22 then Buffer.add_string buf ",\"bp\":\"e\"";
+    Printf.bprintf buf
+      ",\"id\":%d,\"ts\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"txid\":%d}}" e.arg
+      (us e.ts) e.tid e.arg
   end
   else begin
-    Buffer.add_string buf
-      (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"mnemosyne\",\"ph\":\"%s\""
-         (escape (kind_name ev.kind))
-         (if ev.dur < 0 then "i" else "X"));
-    if ev.dur < 0 then Buffer.add_string buf ",\"s\":\"t\""
-    else Buffer.add_string buf (Printf.sprintf ",\"dur\":%s" (us ev.dur));
-    Buffer.add_string buf
-      (Printf.sprintf ",\"ts\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"%s\":%d}}"
-         (us ev.ts) ev.tid
-         (escape (arg_label ev.kind))
-         ev.arg)
+    Printf.bprintf buf "{\"name\":%s,\"cat\":\"mnemosyne\",\"ph\":\"%s\""
+      (Json.string (code_name e.code))
+      (if e.dur < 0 then "i" else "X");
+    if e.dur < 0 then Buffer.add_string buf ",\"s\":\"t\""
+    else Printf.bprintf buf ",\"dur\":%s" (us e.dur);
+    Printf.bprintf buf ",\"ts\":%s,\"pid\":1,\"tid\":%d,\"args\":{%s:%d}}"
+      (us e.ts) e.tid
+      (Json.string (arg_label e.code))
+      e.arg
   end
 
-let to_chrome_json t =
-  let buf = Buffer.create (256 * (t.len + 2)) in
+let to_chrome_json ring =
+  let events = Flight.traced ring in
+  let buf = Buffer.create (256 * (List.length events + 2)) in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   (* Events are recorded in completion order; emit them in start-time
      order (longer spans first on ties, so nesting reads naturally). *)
   let by_start =
     List.stable_sort
-      (fun a b ->
+      (fun (a : Flight.entry) (b : Flight.entry) ->
         match compare a.ts b.ts with 0 -> compare b.dur a.dur | c -> c)
-      (events t)
+      events
   in
   List.iteri
-    (fun i ev ->
+    (fun i e ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_char buf '\n';
-      event_json buf ev)
+      event_json buf e)
     by_start;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\n],\"otherData\":{\"clock\":\"simulated\",\"dropped_events\":%d}}\n"
-       t.n_dropped);
+  Printf.bprintf buf
+    "\n],\"otherData\":{\"clock\":\"simulated\",\"dropped_events\":%d}}\n"
+    (Flight.dropped ring);
   Buffer.contents buf
 
 (* The one place traces reach disk: every saver shares the
    dropped-event warning, so a silently truncated trace is always
    visible on stderr as well as in the JSON metadata above. *)
-let save_chrome t path =
-  let oc = open_out path in
-  output_string oc (to_chrome_json t);
-  close_out oc;
-  if t.n_dropped > 0 then
+let save_chrome ring path =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_chrome_json ring));
+  if Flight.dropped ring > 0 then
     Printf.eprintf
       "warning: trace %s dropped %d oldest events (ring capacity %d)\n%!"
-      path t.n_dropped t.cap
+      path (Flight.dropped ring) Flight.trace_capacity
 
 (* ------------------------------------------------------------------ *)
 (* Plain-text rollup                                                   *)
 
-let summary t =
-  let agg = Hashtbl.create 16 in
+let summary ring =
+  let events = Flight.traced ring in
+  let count = Array.make (Array.length codes) 0 in
+  let total = Array.make (Array.length codes) 0 in
   List.iter
-    (fun ev ->
-      let name = kind_name ev.kind in
-      let count, total =
-        Option.value ~default:(0, 0) (Hashtbl.find_opt agg name)
-      in
-      Hashtbl.replace agg name (count + 1, total + max 0 ev.dur))
-    (events t);
-  let rows = Hashtbl.fold (fun name ct acc -> (name, ct) :: acc) agg [] in
+    (fun (e : Flight.entry) ->
+      count.(e.code) <- count.(e.code) + 1;
+      total.(e.code) <- total.(e.code) + max 0 e.dur)
+    events;
   let rows =
-    List.sort
-      (fun (_, (_, ta)) (_, (_, tb)) -> compare (tb : int) ta)
-      rows
+    List.filter (fun c -> count.(c) > 0) (List.init (Array.length codes) Fun.id)
+    |> List.stable_sort (fun a b -> compare total.(b) total.(a))
   in
   let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-18s %10s %14s %12s\n" "event" "count" "total ns"
-       "mean ns");
+  Printf.bprintf buf "%-18s %10s %14s %12s\n" "event" "count" "total ns"
+    "mean ns";
   List.iter
-    (fun (name, (count, total)) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-18s %10d %14d %12.1f\n" name count total
-           (float_of_int total /. float_of_int count)))
+    (fun c ->
+      Printf.bprintf buf "%-18s %10d %14d %12.1f\n" (code_name c) count.(c)
+        total.(c)
+        (float_of_int total.(c) /. float_of_int count.(c)))
     rows;
-  Buffer.add_string buf
-    (Printf.sprintf "(%d events held, %d dropped oldest-first)\n" t.len
-       t.n_dropped);
+  Printf.bprintf buf "(%d events held, %d dropped oldest-first)\n"
+    (List.length events) (Flight.dropped ring);
   Buffer.contents buf

@@ -1,13 +1,11 @@
-(** A ring-buffered structured event recorder with a Chrome
-    [trace_event] exporter.
+(** The event vocabulary and the exporters of the recorded trace.
 
-    Events carry {e simulated} timestamps (nanoseconds) supplied by the
-    caller, one integer payload, and a track id (the simulated thread).
-    The ring has fixed capacity: when full, recording a new event
-    overwrites the oldest one and counts the drop, so a long run keeps
-    the most recent window.
+    Events live in the one {!Flight} ring as int codes; this module
+    names them and renders the part of the ring recorded since tracing
+    started.  Timestamps are {e simulated} nanoseconds, each event
+    carries one integer payload and a track id (the simulated thread).
 
-    The exporter emits Chrome [trace_event] JSON (open the file in
+    The Chrome exporter emits [trace_event] JSON (open the file in
     [chrome://tracing] or Perfetto); complete events become ["X"]
     phases and instants become ["i"], with [ts]/[dur] in microseconds
     carrying nanosecond precision in the fractional digits. *)
@@ -35,86 +33,36 @@ type kind =
   | Pmcheck_violation
       (** The durability sanitizer detected a rule violation; the
           argument is the offending virtual word address. *)
-  | Txn_flow
-      (** A causal flow stamp: the argument is the owning transaction
-          id, linking a transaction's log append to the deferred work
-          (truncation, write-back, drain) it caused. *)
   | Req_shed
       (** A serving request shed by admission control; the argument is
           the tenant it belonged to (see [lib/serve]). *)
-  | Phase of string  (** A named span, for ad-hoc instrumentation. *)
-
-val kind_name : kind -> string
-val arg_label : kind -> string
-(** The JSON key under which the event's payload argument appears. *)
+  | Crash
+      (** A simulated crash injected by the crash explorer; the
+          argument is the persistence-op index it fired at. *)
 
 val kind_code : kind -> int
-(** A stable small-integer code for the kind, for storage in
-    allocation-free rings (the flight recorder). *)
+(** The kind's code in the ring, 0..19. *)
 
-val code_name : int -> string
-(** Inverse of {!kind_code} for display; also names the codes 20–22
-    reserved for flow start/step/end flight entries. *)
-
-type event = {
-  kind : kind;
-  ts : int;  (** simulated ns *)
-  dur : int;  (** simulated ns; [-1] marks an instant event *)
-  tid : int;
-  arg : int;  (** payload; the flow id (txid) when [flow > 0] *)
-  flow : int;
-      (** 0 = regular event; 1/2/3 = Chrome flow start/step/end
-          stitching deferred work back to the owning transaction. *)
-}
-
-type t
-
-val create : ?capacity:int -> unit -> t
-(** Default capacity 65536 events. *)
-
-val capacity : t -> int
-val length : t -> int
-(** Events currently held (at most [capacity]). *)
-
-val dropped : t -> int
-(** Events overwritten since creation (oldest-first). *)
-
-val clear : t -> unit
-(** Drop all events and reset the drop counter. *)
-
-val instant : t -> tid:int -> ts:int -> kind -> arg:int -> unit
-val complete : t -> tid:int -> ts:int -> dur:int -> kind -> arg:int -> unit
-
-val flow :
-  t -> tid:int -> ts:int -> phase:[ `Start | `Step | `End ] -> id:int -> unit
-(** Record one phase of a causal flow whose id is the owning
-    transaction id.  The exporter emits Chrome flow events
-    (["ph":"s"/"t"/"f"], name ["txn"]) that render as arrows from the
+val flow_code : [ `Start | `Step | `End ] -> int
+(** Codes 20..22: one phase of a causal flow whose payload is the
+    owning transaction id.  The Chrome exporter renders them as flow
+    events (["ph":"s"/"t"/"f"], name ["txn"]) that draw arrows from a
     transaction's log append to its deferred truncation, write-back
     and drain work. *)
 
-(** {1 Nestable spans}
+val code_name : int -> string
+(** The name both the Chrome export and the flight dump print. *)
 
-    A per-track stack: [begin_span] remembers the opening timestamp,
-    [end_span] pops it and records one complete event covering the
-    interval.  Spans on the same track must nest properly. *)
+val to_chrome_json : Flight.t -> string
+(** The complete JSON document ([{"traceEvents": [...], ...}]) of the
+    entries recorded since tracing started, with the overflow count
+    as [otherData.dropped_events]. *)
 
-val begin_span : t -> tid:int -> ts:int -> kind -> arg:int -> unit
-
-val end_span : t -> tid:int -> ts:int -> unit
-(** No-op if no span is open on the track. *)
-
-val events : t -> event list
-(** Oldest first. *)
-
-val to_chrome_json : t -> string
-(** The complete JSON document ([{"traceEvents": [...], ...}]). *)
-
-val save_chrome : t -> string -> unit
+val save_chrome : Flight.t -> string -> unit
 (** Write {!to_chrome_json} to the file, then warn on stderr if any
     events were dropped — the shared save path, so truncated traces
     are never silent. *)
 
-val summary : t -> string
-(** Flamegraph-style plain-text rollup: per event kind, the count,
-    total and mean duration, sorted by total time. *)
+val summary : Flight.t -> string
+(** Flamegraph-style plain-text rollup of the trace: per event name,
+    the count, total and mean duration, sorted by total time. *)

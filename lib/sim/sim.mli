@@ -241,7 +241,9 @@ module Service : sig
   (** True once the daemon's process has exited. *)
 end
 
-(** Condition variable over {!Mutex_r}, used by group commit. *)
+(** Condition variable over {!Mutex_r}.  Only the Berkeley DB
+    baseline's write-ahead log uses it, to park committers behind its
+    flush leader. *)
 module Cond_r : sig
   type sim := t
   type t

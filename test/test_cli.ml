@@ -92,6 +92,19 @@ let test_default_command_back_compat () =
       Alcotest.(check bool) "inspection ran" true
         (contains "Mnemosyne instance" out && contains "pstatic" out))
 
+(* Tenant root names are read from the image, so `stats --json` must
+   escape them: a quote in a pstatic name cannot end the string early. *)
+let test_stats_json_escapes_root_names () =
+  with_tmpdir (fun dir ->
+      let inst = Mnemosyne.open_instance ~dir () in
+      ignore (Mnemosyne.pstatic inst (Serve.tenant_root_prefix ^ "\"q") 8);
+      Mnemosyne.close inst;
+      let code, out = run_cli [ "stats"; dir; "--json" ] in
+      Alcotest.(check int) "stats --json exits 0" 0 code;
+      Alcotest.(check bool) "quote escaped" true
+        (contains (Printf.sprintf {|"root": "%s\"q"|} Serve.tenant_root_prefix)
+           out))
+
 let test_missing_instance_fails () =
   let code, out = run_cli [ "stats"; "/nonexistent/mnemo" ] in
   Alcotest.(check bool) "missing dir is an error" true (code <> 0);
@@ -107,6 +120,8 @@ let () =
             test_json_flag_is_per_subcommand;
           Alcotest.test_case "default command back-compat" `Quick
             test_default_command_back_compat;
+          Alcotest.test_case "stats json escapes root names" `Quick
+            test_stats_json_escapes_root_names;
           Alcotest.test_case "missing instance fails" `Quick
             test_missing_instance_fails;
         ] );

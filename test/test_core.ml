@@ -106,19 +106,19 @@ let test_distinct_instances_are_isolated () =
 (* ------------------------------------------------------------------ *)
 (* Workload utilities *)
 
+(* The bench harness records per-operation latencies straight into
+   Obs histograms. *)
 let test_stats_percentiles () =
-  let s = Workload.Stats.create () in
+  let s = Obs.Metrics.make_histogram "latency_ns" in
   for i = 1 to 100 do
-    Workload.Stats.add s (i * 10)
+    Obs.Metrics.record s (i * 10)
   done;
-  Alcotest.(check int) "count" 100 (Workload.Stats.count s);
-  Alcotest.(check (float 0.01)) "mean" 505.0 (Workload.Stats.mean_ns s);
-  Alcotest.(check int) "min" 10 (Workload.Stats.min_ns s);
-  Alcotest.(check int) "max" 1000 (Workload.Stats.max_ns s);
-  Alcotest.(check int) "p50" 510 (Workload.Stats.percentile_ns s 50.0);
-  Alcotest.(check int) "p99" 990 (Workload.Stats.percentile_ns s 99.0);
-  Alcotest.(check (float 0.01)) "throughput" 2.0e8
-    (Workload.Stats.throughput_per_s ~ops:100 ~elapsed_ns:500)
+  Alcotest.(check int) "count" 100 (Obs.Metrics.hcount s);
+  Alcotest.(check (float 0.01)) "mean" 505.0 (Obs.Metrics.hmean s);
+  Alcotest.(check int) "min" 10 (Obs.Metrics.hmin s);
+  Alcotest.(check int) "max" 1000 (Obs.Metrics.hmax s);
+  Alcotest.(check int) "p50" 510 (Obs.Metrics.percentile s 50.0);
+  Alcotest.(check int) "p99" 990 (Obs.Metrics.percentile s 99.0)
 
 let test_zipf_skew () =
   let kg = Workload.Keygen.create ~seed:1 () in

@@ -462,8 +462,7 @@ let test_isolation_no_dirty_reads () =
 let test_contention_exception () =
   with_tmpdir (fun dir ->
       let m, pmem = stack dir in
-      let cfg = { small_cfg with max_attempts = 3 } in
-      let pool = pool_of ~config:cfg pmem in
+      let pool = pool_of ~config:small_cfg pmem in
       let data = data_region pmem 4096 in
       let sim = Sim.create () in
       let got_contention = ref false in
@@ -471,8 +470,9 @@ let test_contention_exception () =
           let th = Mtm.Txn.thread pool 0 (sim_env sim m) in
           Mtm.Txn.run th (fun tx ->
               Mtm.Txn.store tx data 1L;
-              (* hold the lock for a long time *)
-              Sim.delay sim 1_000_000));
+              (* hold the lock for longer than 64 attempts' legacy
+                 backoff (at most 400 ns x attempt each, 832 us in all) *)
+              Sim.delay sim 2_000_000));
       Sim.spawn sim (fun () ->
           Sim.delay sim 100;
           let th = Mtm.Txn.thread pool 1 (sim_env sim m) in

@@ -1,7 +1,8 @@
 (* Tests for the observability layer: histogram accuracy against a
-   brute-force oracle, counter registry, trace-ring overflow semantics,
-   Chrome JSON export round-trip, and the one-fence-per-commit
-   durability guarantee of redo logging. *)
+   brute-force oracle, counter registry, the event ring's overflow and
+   its two readers (flight dump and Chrome export), Chrome JSON
+   round-trip, and the one-fence-per-commit durability guarantee of redo
+   logging. *)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
@@ -72,20 +73,6 @@ let test_counters () =
   Obs.Metrics.iter_counters m (fun c ->
       names := Obs.Metrics.counter_name c :: !names);
   Alcotest.(check (list string)) "registry" [ "a.b" ] !names
-
-(* ------------------------------------------------------------------ *)
-(* Trace ring *)
-
-let test_ring_overflow () =
-  let tr = Obs.Trace.create ~capacity:8 () in
-  for i = 0 to 11 do
-    Obs.Trace.instant tr ~tid:0 ~ts:i Obs.Trace.Fence ~arg:i
-  done;
-  Alcotest.(check int) "held" 8 (Obs.Trace.length tr);
-  Alcotest.(check int) "dropped" 4 (Obs.Trace.dropped tr);
-  let ts = List.map (fun e -> e.Obs.Trace.ts) (Obs.Trace.events tr) in
-  Alcotest.(check (list int)) "oldest dropped first" [ 4; 5; 6; 7; 8; 9; 10; 11 ]
-    ts
 
 (* ------------------------------------------------------------------ *)
 (* Chrome JSON round-trip, via a minimal JSON parser *)
@@ -194,63 +181,165 @@ let ns_of_us = function
   | Num us -> int_of_float (Float.round (us *. 1000.0))
   | _ -> failwith "not a number"
 
-(* ------------------------------------------------------------------ *)
-(* Snapshot / JSON export *)
+let contains ~what needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  if not (go 0) then Alcotest.failf "%s missing %S in:\n%s" what needle hay
 
+let chrome_events obs =
+  let doc = parse_json (Obs.Trace.to_chrome_json obs.Obs.flight) in
+  match field "traceEvents" doc with
+  | Arr l -> l
+  | _ -> Alcotest.fail "traceEvents"
+
+let traced_ts obs =
+  List.map
+    (fun (e : Obs.Flight.entry) -> e.ts)
+    (Obs.Flight.traced obs.Obs.flight)
+
+(* ------------------------------------------------------------------ *)
+(* The event ring *)
+
+(* Overflow at the real trace capacity: the oldest entries go first and
+   are counted, and the count reaches the Chrome metadata.  Events
+   recorded before tracing started stay in the flight window but are
+   not part of the trace. *)
+let test_ring_overflow () =
+  let obs = Obs.create () in
+  for i = 1 to 10 do
+    Obs.instant_at obs Obs.Trace.Flush ~ts:(-i) ~arg:i
+  done;
+  Obs.enable_trace obs;
+  let cap = Obs.Flight.trace_capacity in
+  for i = 0 to cap + 3 do
+    Obs.instant_at obs Obs.Trace.Fence ~ts:i ~arg:i
+  done;
+  let ts = traced_ts obs in
+  Alcotest.(check int) "held" cap (List.length ts);
+  Alcotest.(check int) "dropped" 4 (Obs.Flight.dropped obs.Obs.flight);
+  Alcotest.(check (list int)) "oldest dropped first" [ 4; 5; 6 ]
+    (List.filteri (fun i _ -> i < 3) ts);
+  contains ~what:"chrome json" "\"dropped_events\":4}"
+    (Obs.Trace.to_chrome_json obs.Obs.flight);
+  (* tracing enabled after setup (the untraced ring has wrapped): only
+     the later events are traced, and the flight window spans the
+     switch in order *)
+  let obs = Obs.create () in
+  for i = 1 to 300 do
+    Obs.instant_at obs Obs.Trace.Flush ~ts:i ~arg:0
+  done;
+  Obs.enable_trace obs;
+  Obs.instant_at obs Obs.Trace.Fence ~ts:301 ~arg:0;
+  Alcotest.(check (list int)) "trace starts at enable" [ 301 ] (traced_ts obs);
+  Alcotest.(check (list int))
+    "flight window spans the switch" (List.init 256 (fun i -> 46 + i))
+    (List.map
+       (fun (e : Obs.Flight.entry) -> e.ts)
+       (Obs.Flight.last obs.Obs.flight Obs.Flight.flight_capacity))
+
+(* The flight dump's rows, as (ts, name, arg). *)
+let flight_rows obs =
+  let lines = String.split_on_char '\n' (Obs.flight_dump obs) in
+  let rec table = function
+    | [] | "" :: _ -> []
+    | l :: rest -> (
+        match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+        | [ ts; _tid; name; _dur; arg ] ->
+            (int_of_string ts, name, int_of_string arg) :: table rest
+        | _ -> Alcotest.failf "flight row %S" l)
+  in
+  match lines with
+  | _title :: _header :: rows -> table rows
+  | _ -> Alcotest.fail "flight dump header"
+
+(* The chrome events' (ts, name, payload) triples. *)
+let chrome_rows obs =
+  List.map
+    (fun e ->
+      let arg =
+        match field "args" e with
+        | Obj [ (_, Num v) ] -> int_of_float v
+        | _ -> Alcotest.fail "args"
+      in
+      let name = match field "name" e with Str s -> s | _ -> "?" in
+      (ns_of_us (field "ts" e), name, arg))
+    (chrome_events obs)
+
+(* One ring, two readers: with tracing on and more events than the
+   flight window, the flight dump lists exactly the last 256 events the
+   Chrome export ends with. *)
+let test_flight_dump_ends_trace () =
+  let obs = Obs.create ~tracing:true () in
+  let kinds = Obs.Trace.[| Fence; Cache_evict; Log_append |] in
+  for i = 0 to 299 do
+    let kind = kinds.(i mod 3) in
+    if i mod 2 = 0 then Obs.instant_at obs kind ~ts:(10 * i) ~arg:i
+    else Obs.complete obs kind ~ts:(10 * i) ~dur:5 ~arg:i
+  done;
+  let chrome = chrome_rows obs in
+  Alcotest.(check int) "chrome holds the whole trace" 300 (List.length chrome);
+  Alcotest.(check (list (triple int string int)))
+    "flight dump = chrome tail"
+    (List.filteri (fun i _ -> i >= 300 - Obs.Flight.flight_capacity) chrome)
+    (flight_rows obs)
+
+(* The crash explorer's marker prints under one name in both outputs. *)
+let test_crash_marker_name () =
+  let obs = Obs.create ~tracing:true () in
+  Obs.instant_at obs Obs.Trace.Crash ~ts:5 ~arg:17;
+  let rows = Alcotest.(list (triple int string int)) in
+  Alcotest.check rows "chrome" [ (5, "Crash", 17) ] (chrome_rows obs);
+  Alcotest.check rows "flight dump" [ (5, "Crash", 17) ] (flight_rows obs)
+
+(* ------------------------------------------------------------------ *)
+(* Metrics JSON export *)
+
+(* The document is a point-in-time snapshot of the registry: counters,
+   gauges sampled while it is built, and histogram summaries, all
+   round-tripping through a real parser. *)
 let test_snapshot_json () =
   let m = Obs.Metrics.create () in
   let c = Obs.Metrics.counter m "scm.fences" in
   Obs.Metrics.incr ~by:3 c;
-  Obs.Metrics.set_gauge (Obs.Metrics.gauge m "cache.lines") (fun () -> 42);
+  let lines = ref 41 in
+  Obs.Metrics.set_gauge (Obs.Metrics.gauge m "cache.lines") (fun () -> !lines);
   let h = Obs.Metrics.histogram m "lat_ns" in
   List.iter (fun v -> Obs.Metrics.record h v) [ 10; 20; 30; 40 ];
-  let snap = Obs.Metrics.snapshot m in
-  Alcotest.(check (list (pair string int)))
-    "counters" [ ("scm.fences", 3) ] snap.Obs.Metrics.snap_counters;
-  Alcotest.(check (list (pair string int)))
-    "gauges sampled at snapshot time" [ ("cache.lines", 42) ]
-    snap.Obs.Metrics.snap_gauges;
-  (match snap.Obs.Metrics.snap_histograms with
-  | [ hs ] ->
-      Alcotest.(check string) "hist name" "lat_ns" hs.Obs.Metrics.hs_name;
-      Alcotest.(check int) "hist count" 4 hs.Obs.Metrics.hs_count;
-      Alcotest.(check int) "hist sum" 100 hs.Obs.Metrics.hs_sum;
-      Alcotest.(check int) "hist min" 10 hs.Obs.Metrics.hs_min;
-      Alcotest.(check int) "hist max" 40 hs.Obs.Metrics.hs_max;
-      Alcotest.(check (float 1e-9)) "hist mean" 25.0 hs.Obs.Metrics.hs_mean
-  | l -> Alcotest.failf "expected 1 histogram, got %d" (List.length l));
-  (* the JSON document round-trips through a real parser *)
+  incr lines;
   let doc = parse_json (Obs.Metrics.to_json m) in
-  (match field "scm.fences" (field "counters" doc) with
-  | Num 3.0 -> ()
-  | _ -> Alcotest.fail "json counter");
-  (match field "cache.lines" (field "gauges" doc) with
-  | Num 42.0 -> ()
-  | _ -> Alcotest.fail "json gauge");
-  let hist = field "lat_ns" (field "histograms" doc) in
-  (match (field "count" hist, field "mean" hist) with
-  | Num 4.0, Num 25.0 -> ()
-  | _ -> Alcotest.fail "json histogram");
-  (* OpenMetrics text: counter suffixed _total, dots sanitized *)
-  let om = Obs.Metrics.to_openmetrics m in
-  let contains needle =
-    let n = String.length needle and hn = String.length om in
-    let rec go i =
-      i + n <= hn && (String.sub om i n = needle || go (i + 1))
-    in
-    if not (go 0) then Alcotest.failf "openmetrics missing %S in:\n%s" needle om
+  let num what = function
+    | Num v -> v
+    | _ -> Alcotest.failf "%s: not a number" what
   in
-  contains "scm_fences_total 3";
-  contains "cache_lines 42";
-  contains "lat_ns_count 4";
-  contains "# EOF"
+  Alcotest.(check (list string))
+    "sections" [ "counters"; "gauges"; "histograms" ]
+    (match doc with Obj kvs -> List.map fst kvs | _ -> []);
+  Alcotest.(check (float 0.0)) "counter" 3.0
+    (num "counter" (field "scm.fences" (field "counters" doc)));
+  Alcotest.(check (float 0.0)) "gauge sampled at export time" 42.0
+    (num "gauge" (field "cache.lines" (field "gauges" doc)));
+  let hist = field "lat_ns" (field "histograms" doc) in
+  List.iter
+    (fun (k, want) ->
+      Alcotest.(check (float 1e-9)) ("hist " ^ k) want (num k (field k hist)))
+    [ ("count", 4.0); ("sum", 100.0); ("min", 10.0); ("max", 40.0);
+      ("mean", 25.0) ];
+  (* names are escaped: a quote in a name cannot break the document *)
+  Obs.Metrics.incr (Obs.Metrics.counter m "odd\"name");
+  let doc = parse_json (Obs.Metrics.to_json m) in
+  Alcotest.(check (float 0.0)) "escaped name" 1.0
+    (num "escaped" (field "odd\"name" (field "counters" doc)))
+
+(* ------------------------------------------------------------------ *)
+(* Chrome export *)
 
 let test_chrome_roundtrip () =
-  let tr = Obs.Trace.create () in
-  Obs.Trace.complete tr ~tid:3 ~ts:1_234_567 ~dur:89 Obs.Trace.Txn_commit
-    ~arg:7;
-  Obs.Trace.instant tr ~tid:1 ~ts:2_000_001 Obs.Trace.Log_truncate ~arg:64;
-  let doc = parse_json (Obs.Trace.to_chrome_json tr) in
+  let obs = Obs.create ~tracing:true () in
+  Obs.set_tid obs 3;
+  Obs.complete obs Obs.Trace.Txn_commit ~ts:1_234_567 ~dur:89 ~arg:7;
+  Obs.set_tid obs 1;
+  Obs.instant_at obs Obs.Trace.Log_truncate ~ts:2_000_001 ~arg:64;
+  let doc = parse_json (Obs.Trace.to_chrome_json obs.Obs.flight) in
   (match field "displayTimeUnit" doc with
   | Str "ns" -> ()
   | _ -> Alcotest.fail "displayTimeUnit");
@@ -274,12 +363,14 @@ let test_chrome_roundtrip () =
    binding id and the args payload, or the arrows in the viewer would
    connect the wrong transactions. *)
 let test_flow_roundtrip () =
-  let tr = Obs.Trace.create () in
-  Obs.Trace.flow tr ~tid:0 ~ts:100 ~phase:`Start ~id:77;
-  Obs.Trace.flow tr ~tid:1 ~ts:200 ~phase:`Step ~id:77;
-  Obs.Trace.flow tr ~tid:2 ~ts:300 ~phase:`End ~id:77;
-  let doc = parse_json (Obs.Trace.to_chrome_json tr) in
-  let evs = match field "traceEvents" doc with Arr l -> l | _ -> [] in
+  let obs = Obs.create ~tracing:true () in
+  List.iteri
+    (fun i phase ->
+      Obs.set_clock obs (fun () -> 100 * (i + 1));
+      Obs.set_tid obs i;
+      Obs.flow obs ~phase ~id:77)
+    [ `Start; `Step; `End ];
+  let evs = chrome_events obs in
   Alcotest.(check int) "event count" 3 (List.length evs);
   let ph e = match field "ph" e with Str s -> s | _ -> "?" in
   Alcotest.(check (list string)) "flow phases" [ "s"; "t"; "f" ]
@@ -340,14 +431,15 @@ let with_tmpdir f =
   let dir = Filename.temp_file "mnemobs" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
+  let rec rm p =
+    if Sys.is_directory p then begin
+      Array.iter (fun n -> rm (Filename.concat p n)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
   Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun name -> Sys.remove (Filename.concat dir name))
-          (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
+    ~finally:(fun () -> if Sys.file_exists dir then rm dir)
     (fun () -> f dir)
 
 let test_one_fence_per_commit () =
@@ -380,13 +472,12 @@ let test_one_fence_per_commit () =
           Mtm.Txn.store tx base 1L;
           Mtm.Txn.store tx (base + 8) 2L;
           Mtm.Txn.store tx (base + 16) 3L);
-      let events =
-        match obs.Obs.trace with
-        | Some tr -> Obs.Trace.events tr
-        | None -> []
-      in
+      let events = Obs.Flight.traced obs.Obs.flight in
       let count k =
-        List.length (List.filter (fun e -> e.Obs.Trace.kind = k) events)
+        List.length
+          (List.filter
+             (fun (e : Obs.Flight.entry) -> e.code = Obs.Trace.kind_code k)
+             events)
       in
       (* the durability point of lazy redo logging is the single tornbit
          flush+fence after the log append (paper section 5); with async
@@ -458,16 +549,8 @@ let test_phase_sum_invariant () =
             (Obs.Metrics.hcount (Obs.Txprof.total_histogram tp));
           (* the always-on flight ring saw the run without tracing *)
           let dump = Obs.flight_dump (Mtm.Txn.obs pool) in
-          let contains needle =
-            let nl = String.length needle and hl = String.length dump in
-            let rec go i =
-              i + nl <= hl && (String.sub dump i nl = needle || go (i + 1))
-            in
-            if not (go 0) then
-              Alcotest.failf "flight dump missing %S in:\n%s" needle dump
-          in
-          contains "Txn_commit";
-          contains "Flow_start"))
+          contains ~what:"flight dump" "Txn_commit" dump;
+          contains ~what:"flight dump" "Flow_start" dump))
 
 (* Regression: log-full stall time is charged to exactly one phase of
    the transaction that suffered it.  The stall accumulator lives on
@@ -678,6 +761,56 @@ let test_disabled_path_allocation () =
             Alcotest.failf "disabled path allocates %.1f minor words/commit"
               per_commit))
 
+(* Recording once into the preallocated ring makes tracing free in
+   allocation: commit_bench's "commit" shape (4 reads, 8 writes) costs
+   no more minor words per commit with the trace on than with it off. *)
+let commit_minor_words ~tracing =
+  with_tmpdir (fun dir ->
+      let obs = Obs.create ~tracing () in
+      let inst = Mnemosyne.open_instance ~obs ~dir () in
+      let nslots = 512 in
+      let slot = Mnemosyne.pstatic inst "test.commit" 8 in
+      let data =
+        Mnemosyne.atomically inst (fun tx ->
+            let a = Mtm.Txn.alloc tx (nslots * 8) ~slot in
+            for i = 0 to nslots - 1 do
+              Mtm.Txn.store tx (a + (8 * i)) 0L
+            done;
+            a)
+      in
+      let body i =
+        Mnemosyne.atomically inst (fun tx ->
+            for j = 0 to 3 do
+              ignore
+                (Mtm.Txn.load tx
+                   (data + (8 * (((i * 7) + (j * 13)) mod nslots))))
+            done;
+            for j = 0 to 7 do
+              Mtm.Txn.store tx
+                (data + (8 * (((i * 11) + (j * 17)) mod nslots)))
+                (Int64.of_int ((i * 31) + j))
+            done)
+      in
+      for i = 1 to 500 do
+        body i
+      done;
+      let n = 2000 in
+      let before = Gc.minor_words () in
+      for i = 1 to n do
+        body i
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int n in
+      Alcotest.(check bool) "traced as asked" tracing (Obs.tracing obs);
+      Mnemosyne.close inst;
+      words)
+
+let test_traced_commit_allocation () =
+  let untraced = commit_minor_words ~tracing:false in
+  let traced = commit_minor_words ~tracing:true in
+  if traced > untraced then
+    Alcotest.failf "traced commit allocates %.1f minor words, untraced %.1f"
+      traced untraced
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -696,6 +829,10 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "ring overflow" `Quick test_ring_overflow;
+          Alcotest.test_case "flight dump ends the chrome export" `Quick
+            test_flight_dump_ends_trace;
+          Alcotest.test_case "crash marker has one name" `Quick
+            test_crash_marker_name;
           Alcotest.test_case "chrome json round-trip" `Quick
             test_chrome_roundtrip;
           Alcotest.test_case "flow events carry txid" `Quick
@@ -720,5 +857,7 @@ let () =
             test_one_fence_per_commit;
           Alcotest.test_case "disabled path stays allocation-free" `Quick
             test_disabled_path_allocation;
+          Alcotest.test_case "traced commit allocates no more than untraced"
+            `Quick test_traced_commit_allocation;
         ] );
     ]

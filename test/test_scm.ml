@@ -376,13 +376,10 @@ let test_cache_eviction_sequence_matches_model () =
         m_drop addr
   done;
   let actual =
-    match obs.Obs.trace with
-    | None -> Alcotest.fail "tracing was enabled"
-    | Some tr ->
-        List.filter_map
-          (fun (e : Obs.Trace.event) ->
-            if e.kind = Obs.Trace.Cache_evict then Some e.arg else None)
-          (Obs.Trace.events tr)
+    List.filter_map
+      (fun (e : Obs.Flight.entry) ->
+        if e.code = Obs.Trace.(kind_code Cache_evict) then Some e.arg else None)
+      (Obs.Flight.traced obs.Obs.flight)
   in
   Alcotest.(check bool)
     "workload actually evicts" true
