@@ -1357,22 +1357,23 @@ let commit_bench () =
    active threads] of coherence traffic), the per-commit durability
    fence whose media burst serializes through the device, and a flat
    lock table small enough that distinct lines alias under a large
-   footprint.  The scalable configuration leases timestamps in blocks,
-   stripes the lock table, and shares one fence per group-commit drain
-   window.  Both run the same workloads at 1..64 simulated threads;
+   footprint.  The pipelined configuration leases timestamps in
+   blocks, enlarges the lock table eightfold, shares one fence per
+   group-commit drain window and hands the write-back to drainer
+   daemons.  Both run the same workloads at 1..64 simulated threads;
    figures are simulated time, so they are deterministic and
    baseline-tracked in BENCH_scale.json like BENCH_commit.json. *)
 
 let scale_threads = [ 1; 2; 4; 8; 16; 64 ]
 let scale_txns = 128 (* per thread *)
 
-(* The three measured configurations: [`Shared] is the original
-   serialize-on-everything protocol, [`Scalable] is PR 7's leases +
-   stripes + group commit, [`Pipeline] adds this PR's pipelined commit
-   (write-back handed to a drainer daemon, locks released at the
-   durability fence) and the adaptive contention manager. *)
+(* The two measured configurations: [`Shared] is the original
+   serialize-on-everything protocol, [`Pipeline] adds leases, a larger
+   lock table, group commit, the pipelined commit (write-back handed to
+   a drainer daemon, locks released at the durability fence) and the
+   adaptive contention manager. *)
 let scale_cfg ~threads ~mode =
-  let scalable = mode <> `Shared in
+  let pipeline = mode = `Pipeline in
   {
     Mtm.Txn.default_config with
     nthreads = threads;
@@ -1382,19 +1383,15 @@ let scale_cfg ~threads ~mode =
        index aliasing manufactures conflicts between threads that
        never touch the same data *)
     lock_bits = 10;
-    ts_lease = (if scalable then 32 else 1);
-    lock_stripes = (if scalable then 8 else 1);
-    group_commit = scalable;
-    (* a deep truncation batch: a thread's stores revisit its working
-       set, so the per-drain flush of the line *union* retires many
-       commits' write-back with one media write per hot line *)
-    gc_trunc_batch = (if scalable then 32 else Mtm.Txn.default_config.gc_trunc_batch);
-    pipeline = (mode = `Pipeline);
-    (* a deep in-flight window so each drainer sweep retires many of a
-       thread's commits at once and the line-union flush dedupes as
-       well as the scalable config's 32-deep inline batch *)
+    ts_lease = (if pipeline then 32 else 1);
+    lock_stripes = (if pipeline then 8 else 1);
+    group_commit = pipeline;
+    pipeline;
+    (* a deep in-flight window: a thread's stores revisit its working
+       set, so a drainer sweep retiring many of its commits at once
+       flushes the line *union* with one media write per hot line *)
     pipe_window = 32;
-    cm = (if mode = `Pipeline then Mtm.Txn.Cm_adaptive else Mtm.Txn.Cm_legacy);
+    cm = (if pipeline then Mtm.Txn.Cm_adaptive else Mtm.Txn.Cm_legacy);
   }
 
 type scale_result = {
@@ -1509,9 +1506,8 @@ let run_scale ~threads ~mode ~contended =
               done)
         done;
         (* the workload window closes at the last commit: the drainer's
-           tail sweep after the final worker exits is deferred work the
-           scalable config also leaves unpriced (its leftover queued
-           truncations are simply dropped) *)
+           tail sweep after the final worker exits is deferred work left
+           unpriced *)
         t_end := max !t_end (Sim.now sim);
         decr running;
         if !running = 0 then Array.iter Sim.Service.stop !services)
@@ -1544,8 +1540,7 @@ let run_scale ~threads ~mode ~contended =
 
 let scale_bench () =
   Workload.Report.section "scale_bench"
-    "commit scalability: shared vs scalable vs pipelined commit path \
-     (simulated time)";
+    "commit scalability: shared vs pipelined commit path (simulated time)";
   List.iter
     (fun contended ->
       let case = if contended then "contended" else "disjoint" in
@@ -1554,24 +1549,17 @@ let scale_bench () =
         List.map
           (fun n ->
             let sh = run_scale ~threads:n ~mode:`Shared ~contended in
-            let sc = run_scale ~threads:n ~mode:`Scalable ~contended in
             let pi = run_scale ~threads:n ~mode:`Pipeline ~contended in
-            let speedup = sc.sc_per_s /. sh.sc_per_s in
             let pi_speedup = pi.sc_per_s /. sh.sc_per_s in
             kvs :=
               !kvs
               @ [
                   (Printf.sprintf "sim_shared_t%d_commits_per_s" n, sh.sc_per_s);
-                  ( Printf.sprintf "sim_scalable_t%d_commits_per_s" n,
-                    sc.sc_per_s );
                   ( Printf.sprintf "sim_pipeline_t%d_commits_per_s" n,
                     pi.sc_per_s );
-                  (Printf.sprintf "speedup_t%d" n, speedup);
                   (Printf.sprintf "pipeline_speedup_t%d" n, pi_speedup);
                   ( Printf.sprintf "shared_aborts_t%d" n,
                     float_of_int sh.sc_aborts );
-                  ( Printf.sprintf "scalable_aborts_t%d" n,
-                    float_of_int sc.sc_aborts );
                   ( Printf.sprintf "pipeline_aborts_t%d" n,
                     float_of_int pi.sc_aborts );
                 ];
@@ -1592,16 +1580,12 @@ let scale_bench () =
                         ( Printf.sprintf "%s_false_conflicts_t%d" tag n,
                           float_of_int r.sc_false_conflicts );
                       ])
-                    [ ("shared", sh); ("scalable", sc); ("pipeline", pi) ];
+                    [ ("shared", sh); ("pipeline", pi) ];
             [
               string_of_int n;
               Printf.sprintf "%.0f" sh.sc_per_s;
-              Printf.sprintf "%.0f" sc.sc_per_s;
               Printf.sprintf "%.0f" pi.sc_per_s;
-              Printf.sprintf "%.2fx" speedup;
               Printf.sprintf "%.2fx" pi_speedup;
-              Printf.sprintf "%d/%d/%d" sc.sc_aborts sc.sc_retries
-                sc.sc_stalls;
               Printf.sprintf "%d/%d/%d" pi.sc_aborts pi.sc_retries
                 pi.sc_stalls;
               string_of_int pi.sc_false_conflicts;
@@ -1614,11 +1598,8 @@ let scale_bench () =
           [
             case ^ " thr";
             "shared c/s";
-            "scalable c/s";
             "pipeline c/s";
-            "scal x";
             "pipe x";
-            "sc ab/rt/st";
             "pi ab/rt/st";
             "pi falseconf";
           ]
@@ -1626,10 +1607,10 @@ let scale_bench () =
     [ false; true ];
   Workload.Report.note
     "simulated-time figures (deterministic), workload window only: shared = \
-     lease 1, flat locks, fence + truncation per commit; scalable = lease 32, \
-     8 stripes, group commit, 32-deep truncation batches; pipeline = \
-     scalable + write-back drainer daemon (locks released at the durability \
-     fence) + adaptive contention manager.  Speedups are vs shared."
+     lease 1, 2^10 locks, fence + truncation per commit; pipeline = lease \
+     32, 2^13 locks, group commit, write-back drainer daemons (locks \
+     released at the durability fence) + adaptive contention manager.  \
+     Speedups are vs shared."
 
 (* ------------------------------------------------------------------ *)
 (* serve_bench: multi-tenant serving under open-loop load              *)

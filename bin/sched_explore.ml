@@ -50,16 +50,26 @@ let replay_hint path dir =
   Printf.sprintf "sched_explore --replay %s --dir %s" (Filename.quote path)
     (Filename.quote dir)
 
+(* The check [Txn.create_pool] applies, run before any schedule so a
+   bad knob is a one-line error (exit 2), like a bad --policy. *)
+let check_knobs cfg =
+  Result.map_error
+    (fun msg -> "invalid configuration: " ^ msg)
+    (Mtm.Txn.check_config (H.mtm_config cfg))
+
 (* ------------------------------------------------------------------ *)
 (* Modes                                                               *)
 
 let run_replay ~dir ~verbose path =
-  match Sim.Schedule.load path with
+  match
+    Result.bind (Sim.Schedule.load path) (fun sched ->
+        let cfg = H.cfg_of_schedule ~dir sched in
+        Result.map (fun () -> (sched, cfg)) (check_knobs cfg))
+  with
   | Error msg ->
       Printf.eprintf "sched_explore: %s\n" msg;
       2
-  | Ok sched -> (
-      let cfg = H.cfg_of_schedule ~dir sched in
+  | Ok (sched, cfg) -> (
       Printf.printf "replaying %s: policy %s, seed %d, %d threads x %d txns\n%!"
         path
         (Sim.Schedule.policy_name cfg.H.policy)
@@ -194,7 +204,9 @@ let run seeds seed0 policy threads txns slots undo zero_lat lease stripes
       2
   | Some path, None -> run_replay ~dir ~verbose path
   | None, record -> (
-      match policies_of_string policy with
+      match
+        Result.bind (check_knobs cfg0) (fun () -> policies_of_string policy)
+      with
       | Error msg ->
           Printf.eprintf "sched_explore: %s\n" msg;
           2
@@ -259,7 +271,9 @@ let stripes =
   Arg.(
     value & opt int 1
     & info [ "stripes" ]
-        ~doc:"Lock-table stripes, a power of two (Txn.config.lock_stripes).")
+        ~doc:
+          "Multiply the lock-table size by this power of two \
+           (Txn.config.lock_stripes).")
 
 let group_commit =
   Arg.(
@@ -267,7 +281,7 @@ let group_commit =
     & info [ "group-commit" ]
         ~doc:
           "Share one durability fence among transactions retiring in the \
-           same drain window (Txn.config.group_commit).")
+           same drain window (Txn.config.group_commit); needs --pipeline.")
 
 let pipeline =
   Arg.(

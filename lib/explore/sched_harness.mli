@@ -66,6 +66,9 @@ type cfg = {
 val default_cfg : dir:string -> cfg
 (** 3 threads, 8 transactions each, 16 slots, shuffle policy, seed 0. *)
 
+val mtm_config : cfg -> Mtm.Txn.config
+(** The transaction-system configuration a run uses. *)
+
 type outcome = {
   schedule : Sim.Schedule.t;  (** As recorded (or replayed). *)
   history : Mtm.History.t;

@@ -1,17 +1,4 @@
-(* The volatile lock array, optionally striped.
-
-   A stripe owns its own version/owner arrays: in a real runtime each
-   stripe lives on its own cache lines, so threads working disjoint
-   address ranges stop false-sharing lock metadata.  Adjacent 64-byte
-   lines map to *different* stripes (the stripe index comes from the
-   low line bits), and each stripe strides over the address space with
-   its own entry array — so striping also multiplies the total entry
-   count, pushing the aliasing wrap out by the stripe factor.
-
-   With [stripes = 1] (the default) the handle returned by
-   {!index_of} is exactly the historical [(addr lsr 6) land mask]:
-   every schedule, sim figure and regression trace recorded against
-   the flat table replays unchanged.
+(* The volatile lock array.
 
    Each entry also carries:
    - [addrs]: the address the current owner acquired it for — a
@@ -24,46 +11,27 @@
      that already serialized against the old version; [rts] is where
      readers leave that watermark (TicToc-style). *)
 
-type stripe = {
+type t = {
   versions : int array;
   owners : int array;
   addrs : int array; (* owner's acquiring address; 0 = unknown *)
   rts : int array; (* max cts/rv a validated reader serialized at *)
-}
-
-type t = {
-  stripes : stripe array;
-  sbits : int; (* log2 (Array.length stripes) *)
-  smask : int;
-  mask : int; (* per-stripe entry count - 1 *)
+  mask : int; (* entry count - 1 *)
   mutable race : Race_api.hooks option;
       (* Every entry is a single-word CAS-able atomic in a real
          runtime: acquisition is an rmw, releases publish, reads
          acquire.  Each entry is its own sync object, so HB flows
-         per-stripe-entry, never through the table as a whole
-         (DESIGN.md section 18). *)
+         per entry, never through the table as a whole (DESIGN.md
+         section 18). *)
 }
 
-let make_stripe n =
+let create ?(bits = 18) () =
+  let n = 1 lsl bits in
   {
     versions = Array.make n 0;
     owners = Array.make n (-1);
     addrs = Array.make n 0;
     rts = Array.make n 0;
-  }
-
-let create ?(bits = 18) ?(stripes = 1) () =
-  if stripes < 1 || stripes land (stripes - 1) <> 0 then
-    invalid_arg "Lock_table.create: stripes must be a power of two";
-  let n = 1 lsl bits in
-  let sbits =
-    let rec log2 acc = function 1 -> acc | k -> log2 (acc + 1) (k lsr 1) in
-    log2 0 stripes
-  in
-  {
-    stripes = Array.init stripes (fun _ -> make_stripe n);
-    sbits;
-    smask = stripes - 1;
     mask = n - 1;
     race = None;
   }
@@ -91,31 +59,24 @@ let[@inline] race_rmw t h =
    "each lock covering a portion of the address space").  Range
    striding, not hashing: contiguous writes take contiguous locks, so a
    large write set occupies few entries and disjoint structures rarely
-   false-conflict.  The handle packs (entry, stripe); with one stripe
-   it degenerates to the flat index. *)
-let[@inline] index_of t addr =
-  let line = addr lsr 6 in
-  let s = line land t.smask in
-  let slot = (line lsr t.sbits) land t.mask in
-  (slot lsl t.sbits) lor s
+   false-conflict. *)
+let[@inline] index_of t addr = (addr lsr 6) land t.mask
 
-let[@inline] stripe_of t h = t.stripes.(h land t.smask)
-let[@inline] slot_of t h = h lsr t.sbits
 let[@inline] version t h =
   race_acq t h;
-  (stripe_of t h).versions.(slot_of t h)
+  t.versions.(h)
 
 let[@inline] owner t h =
   race_acq t h;
-  (stripe_of t h).owners.(slot_of t h)
+  t.owners.(h)
 
 let[@inline] rts t h =
   race_acq t h;
-  (stripe_of t h).rts.(slot_of t h)
+  t.rts.(h)
 
 let[@inline] held_addr t h =
   race_acq t h;
-  (stripe_of t h).addrs.(slot_of t h)
+  t.addrs.(h)
 
 (* Only meaningful while the entry is held: conflicts are attributed at
    the moment they are observed, against the current owner. *)
@@ -124,38 +85,31 @@ let[@inline] aliased t h ~addr =
   held <> 0 && held <> addr
 
 let[@inline] try_acquire t h ~owner ~addr =
-  let st = stripe_of t h in
-  let slot = slot_of t h in
-  if st.owners.(slot) = -1 then begin
+  if t.owners.(h) = -1 then begin
     race_rmw t h;
-    st.owners.(slot) <- owner;
-    st.addrs.(slot) <- addr;
+    t.owners.(h) <- owner;
+    t.addrs.(h) <- addr;
     true
   end
   else begin
     (* A failed (or re-entrant) probe still reads the word. *)
     race_acq t h;
-    st.owners.(slot) = owner
+    t.owners.(h) = owner
   end
 
 let[@inline] release t h =
   race_rel t h;
-  (stripe_of t h).owners.(slot_of t h) <- -1
+  t.owners.(h) <- -1
 
 let[@inline] release_versioned t h ~version =
   race_rel t h;
-  let st = stripe_of t h in
-  let slot = slot_of t h in
-  st.versions.(slot) <- version;
-  st.owners.(slot) <- -1
+  t.versions.(h) <- version;
+  t.owners.(h) <- -1
 
 (* Reader watermark: monotone, bumped inside the same atomic
    (yield-free) step as the validation that justifies it. *)
 let[@inline] bump_rts t h v =
   race_rmw t h;
-  let st = stripe_of t h in
-  let slot = slot_of t h in
-  if st.rts.(slot) < v then st.rts.(slot) <- v
+  if t.rts.(h) < v then t.rts.(h) <- v
 
-let stripes t = t.smask + 1
-let entries t = (t.mask + 1) * (t.smask + 1)
+let entries t = t.mask + 1

@@ -11,18 +11,14 @@
     recreated, because recovery replays committed transactions
     single-threadedly.
 
-    The table can be striped: entries are spread over [stripes]
-    independent arrays so adjacent lines land on different stripes and
-    lock metadata for disjoint address ranges stops sharing cache
-    lines.  Handles returned by {!index_of} encode (entry, stripe);
-    with one stripe (the default) the handle is exactly the historical
-    flat index. *)
+    A handle returned by {!index_of} is the line number modulo the
+    table size.  The simulator charges no time for lock metadata, so
+    the table's only tunable is its size. *)
 
 type t
 
-val create : ?bits:int -> ?stripes:int -> unit -> t
-(** [stripes * 2^bits] entries (default bits 18, stripes 1).
-    @raise Invalid_argument unless [stripes] is a power of two. *)
+val create : ?bits:int -> unit -> t
+(** [2^bits] entries (default bits 18). *)
 
 val index_of : t -> int -> int
 (** Map an address to a handle for its covering lock: one lock per
@@ -58,7 +54,6 @@ val release_versioned : t -> int -> version:int -> unit
 val bump_rts : t -> int -> int -> unit
 (** Raise the reader watermark to at least the given timestamp. *)
 
-val stripes : t -> int
 val entries : t -> int
 
 val set_race : t -> Race_api.hooks option -> unit

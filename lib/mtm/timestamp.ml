@@ -5,8 +5,7 @@
    as [timestamp_ns x active threads] per shared-line transaction.
    {!next} is the legacy one-at-a-time bump (one shared transaction per
    commit); {!draw} hands out timestamps from a thread-local lease of
-   [size] consecutive values, touching the shared line only on refill —
-   the scalable path.
+   [size] consecutive values, touching the shared line only on refill.
 
    Leased values can be issued out of global arrival order (a thread
    can commit from an old lease after a neighbour committed from a

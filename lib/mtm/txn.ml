@@ -19,17 +19,14 @@ type config = {
   truncation : truncation;
   version_mgmt : version_mgmt;
   lock_bits : int;
-  (* Scalable-commit knobs.  The defaults (lease 1, one stripe, no
-     group commit) reproduce the original shared-point protocol
-     bit-identically: sim figures, crash-point indices and recorded
-     schedules are all pinned against them. *)
+  (* Scaling knobs.  The defaults (lease 1, one stripe, no pipeline)
+     reproduce the original shared-point protocol bit-identically: sim
+     figures, crash-point indices and recorded schedules are all pinned
+     against them. *)
   ts_lease : int;  (* cts values leased per shared-counter refill *)
-  lock_stripes : int;  (* lock-table stripes (power of two) *)
-  group_commit : bool;  (* share one log-flush fence per drain window *)
-  gc_trunc_batch : int;  (* sync truncations retired per batch *)
-  (* Pipelined-commit knobs.  Off by default: with [pipeline = false]
-     the path below the durability point is the scalable protocol,
-     bit-identical. *)
+  lock_stripes : int;  (* multiplies the lock-table size (power of two) *)
+  group_commit : bool;  (* pipelined only: one log-flush fence per window *)
+  gc_trunc_batch : int;  (* unused; kept for callers that set it by name *)
   pipeline : bool;
       (* release write locks right after the durability fence and hand
          data-line flushing + log truncation to a drainer *)
@@ -282,22 +279,30 @@ let log_base_of v cfg i =
     base
   end
 
+(* The knob combinations [create_pool] accepts; [sched_explore] runs
+   the same check on its command line. *)
+let check_config c =
+  let pow2 n = n >= 1 && n land (n - 1) = 0 in
+  if c.nthreads < 1 then Error "nthreads < 1"
+  else if c.version_mgmt = Eager_undo && c.truncation = Async then
+    Error "undo logging commits by truncation and cannot be asynchronous"
+  else if c.ts_lease < 1 then Error "ts_lease < 1"
+  else if not (pow2 c.lock_stripes) then
+    Error "lock_stripes must be a power of two"
+  else if c.group_commit && not c.pipeline then
+    Error "group commit runs only as part of the pipelined commit"
+  else if c.pipeline && c.version_mgmt = Eager_undo then
+    Error
+      "the pipelined commit defers data write-back behind a durable redo \
+       record and requires redo logging"
+  else if c.pipeline && c.pipe_window < 1 then Error "pipe_window < 1"
+  else Ok ()
+
 let create_pool ?(config = default_config) pmem heap =
-  if config.version_mgmt = Eager_undo && config.truncation = Async then
-    invalid_arg
-      "Txn.create_pool: undo logging commits by truncation and cannot be \
-       asynchronous";
-  if config.version_mgmt = Eager_undo && config.group_commit then
-    invalid_arg
-      "Txn.create_pool: group commit amortizes the redo-log flush and \
-       requires redo logging";
-  if config.ts_lease < 1 then invalid_arg "Txn.create_pool: ts_lease < 1";
-  if config.pipeline && config.version_mgmt = Eager_undo then
-    invalid_arg
-      "Txn.create_pool: the pipelined commit defers data write-back \
-       behind a durable redo record and requires redo logging";
-  if config.pipeline && config.pipe_window < 1 then
-    invalid_arg "Txn.create_pool: pipe_window < 1";
+  Result.iter_error
+    (fun msg -> invalid_arg ("Txn.create_pool: " ^ msg))
+    (check_config config);
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1) in
   let v = Pmem.default_view pmem in
   let obs = v.Pmem.env.Scm.Env.machine.Scm.Env.obs in
   let m = obs.Obs.metrics in
@@ -305,8 +310,10 @@ let create_pool ?(config = default_config) pmem heap =
     {
       pmem;
       heap;
+      (* stripes only multiply the entry count *)
       locks =
-        Lock_table.create ~bits:config.lock_bits ~stripes:config.lock_stripes
+        Lock_table.create
+          ~bits:(config.lock_bits + log2 config.lock_stripes)
           ();
       ts = Timestamp.create ();
       cfg = config;
@@ -656,7 +663,7 @@ let extend tx =
 (* A conflicting owner that acquired the lock for a different address
    never touched our data: the table aliased two addresses onto one
    entry (same 64-byte line, or a table-size wrap).  Counted so the
-   striped table's effect is observable. *)
+   table size's effect is observable. *)
 let[@inline] note_false_conflict tx locks idx ~addr =
   if Lock_table.aliased locks idx ~addr then
     Obs.Metrics.incr tx.th.pool.fc_aliased
@@ -1060,10 +1067,6 @@ let retire ?(limit = max_int) ~cost (view : Pmem.view) ths =
 let process_one_truncation th dview =
   retire ~limit:1 ~cost:Log_reread dview [ th ]
 
-(* The producer retiring its own queue inline, paying the log re-read;
-   false when the drainer holds the claim or nothing is queued. *)
-let drain_own th = retire ~cost:Log_reread th.view [ th ]
-
 (* One sweep of a pipelined-commit drainer over its shard.  One drainer
    fiber serializes every producer's flush traffic through itself, so
    deployments with many threads run several daemons (one per 4 workers
@@ -1082,11 +1085,12 @@ let drain_pipeline ?shard pool dview =
    starved or gone and draining inline instead. *)
 let drain_fallback_ns = 4096 * 60
 
-(* Inline drain of this thread's own queue.  If the drainer holds the
-   claim (it popped the queue and has not advanced the head yet), wait
-   for it to release the claim rather than double-retiring records. *)
+(* Inline drain of this thread's own queue, paying the log re-read.  If
+   the drainer holds the claim (it popped the queue and has not advanced
+   the head yet), wait for it to release the claim rather than
+   double-retiring records. *)
 let pipe_drain_self th =
-  if not (drain_own th) then begin
+  if not (retire ~cost:Log_reread th.view [ th ]) then begin
     race_on th.pool acq draining_label th;
     while th.draining do
       Sim.park (add_drain_waiter th);
@@ -1130,11 +1134,11 @@ let pipe_backpressure th =
 (* ------------------------------------------------------------------ *)
 (* Group commit                                                        *)
 
-(* Transactions reaching the durability point in the same drain window
-   share one fence.  A retiring member registers itself and either
-   leads — performing one combined {!Pmlog.Rawl.flush_group} over every
-   member registered by flush time — or parks, polling until a leader
-   marks its record durable.  Registration, leader election and the
+(* Pipelined transactions reaching the durability point in the same
+   drain window share one fence.  A retiring member registers itself
+   and either leads — performing one combined {!Pmlog.Rawl.flush_group}
+   over every member registered by flush time — or parks, polling until
+   a leader marks its record durable.  Registration, leader election and the
    waiter takeover are yield-free sections, so exactly one leader
    drains each window; a waiter that wakes to find no active leader
    and its record still pending leads the next window itself (its
@@ -1269,7 +1273,6 @@ let append_record tx buf ~len =
                  race_q_probe tx.th;
                  race_on tx.th.pool acq draining_label tx.th;
                  (not (Queue.is_empty tx.th.pending_q)) || tx.th.draining)
-           else if pool.cfg.group_commit then ignore (drain_own tx.th)
            else
              while process_one_truncation tx.th tx.th.view do
                ()
@@ -1410,10 +1413,7 @@ let commit_redo tx =
     Pmem.store th.view th.sorted.(i)
       (Bytes.get_int64_le enc (8 * ((2 * i) + 3)))
   done;
-  (if
-     pool.cfg.truncation = Sync
-     && not (pool.cfg.pipeline || pool.cfg.group_commit)
-   then begin
+  (if pool.cfg.truncation = Sync && not pool.cfg.pipeline then begin
      flush_sorted_lines th.view th.sorted n;
      Pmlog.Rawl.truncate_all th.log;
      (* synchronous truncation retires the commit's own log record
@@ -1427,20 +1427,14 @@ let commit_redo tx =
         away — readers that acquire these lines before the write-back
         lands observe the committed values through the cache at version
         [cts], and a crash is covered because recovery replays the
-        still unretired record.  Synchronous group commit: retire a
-        whole batch at once, so the flush dedupes lines hot across the
-        batch and the head advances once per batch.  Asynchronous: the
-        truncation daemon's work. *)
+        still unretired record.  Asynchronous: the truncation daemon's
+        work. *)
      race_q_push th;
      Queue.push
        { span; addrs = Array.sub th.sorted 0 n; txid = th.cur_txid }
        th.pending_q;
      if pool.cfg.pipeline then
        match pool.drain_wake with Some wake -> wake th.id | None -> ()
-     else if
-       pool.cfg.truncation = Sync
-       && Queue.length th.pending_q >= max 1 pool.cfg.gc_trunc_batch
-     then ignore (drain_own th)
    end);
   let t3 = env.Scm.Env.now () in
   if pool.txprof != None then prof_phase th Obs.Txprof.ph_write_back;

@@ -63,7 +63,8 @@ type config = {
   log_cap_words : int;  (** Per-thread log buffer capacity. *)
   truncation : truncation;
   version_mgmt : version_mgmt;
-  lock_bits : int;  (** Per-stripe lock table size = 2^lock_bits. *)
+  lock_bits : int;
+      (** Lock table size = [2^lock_bits * lock_stripes] entries. *)
   ts_lease : int;
       (** Commit timestamps leased to a thread per shared-counter
           transaction.  1 (the default) is the original draw-per-commit
@@ -76,18 +77,15 @@ type config = {
           (and recovery replay) order, which the {!History} oracle
           checks. *)
   lock_stripes : int;
-      (** Lock-table stripes (power of two; default 1 = the original
-          flat table).  Adjacent lines map to different stripes and the
-          total entry count multiplies, cutting both metadata
-          false-sharing and index aliasing. *)
+      (** A power of two (default 1) that multiplies the lock table's
+          entry count, pushing index aliasing out.  The simulator
+          charges nothing for lock metadata, so this is the same as a
+          larger [lock_bits]. *)
   group_commit : bool;
-      (** Share one durability fence among transactions retiring in the
-          same drain window (redo logging only), and batch synchronous
-          truncations [gc_trunc_batch] at a time.  Default false. *)
-  gc_trunc_batch : int;
-      (** Under [group_commit], synchronous truncations are deferred
-          and retired in batches of this size: one data-line flush pass
-          (hot lines deduped) and one head advance per batch. *)
+      (** Share one durability fence among pipelined transactions
+          retiring in the same drain window.  Requires [pipeline];
+          default false. *)
+  gc_trunc_batch : int;  (** Ignored. *)
   pipeline : bool;
       (** Pipelined commit (redo logging only; default false).  The
           durability point stays log-append + one fence, but the commit
@@ -109,8 +107,8 @@ type config = {
 
 val default_config : config
 (** 4 threads, 64 Ki-word logs, synchronous truncation, redo logging,
-    2^18 locks; every scalable-commit knob off (lease 1, one stripe,
-    no group commit) — the exact original protocol. *)
+    2^18 locks; every scaling knob off (lease 1, one stripe, no group
+    commit, no pipeline) — the exact original protocol. *)
 
 exception Contention
 (** A transaction aborted 64 times in a row. *)
@@ -118,12 +116,20 @@ exception Contention
 exception Cancelled
 (** Raised past {!run} when the user calls {!cancel}. *)
 
+val check_config : config -> (unit, string) result
+(** [Error reason] for a knob combination {!create_pool} rejects: fewer
+    than one thread, a lease below 1, a stripe count that is not a
+    power of two, group commit without the pipeline, undo logging with
+    asynchronous truncation or the pipeline, or a pipeline window
+    below 1. *)
+
 val create_pool :
   ?config:config -> Region.Pmem.t -> Pmheap.Heap.t option -> pool
 (** Set up (or recover) the transaction system: finds each thread's log
     region through a [pstatic] root, creating it on first run, replays
     committed-but-unflushed transactions in timestamp order, and
-    truncates the logs. *)
+    truncates the logs.
+    @raise Invalid_argument when {!check_config} rejects [config]. *)
 
 val recovered_txns : pool -> int
 (** Transactions replayed by recovery at pool creation. *)

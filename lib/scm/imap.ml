@@ -3,10 +3,9 @@
    [Hashtbl] on a per-memory-access path costs a hash, bucket chasing,
    and a [Some] allocation per hit; these maps are linear-probing
    arrays with -1 as the empty-key sentinel (keys must be
-   non-negative), answer misses with a sentinel instead of an option,
-   and keep int64 values unboxed in a [Bytes] buffer.  Load factor is
-   kept under 1/2 by doubling.  Deletion uses backward-shift, so no
-   tombstones accumulate. *)
+   non-negative) and answer misses with a sentinel instead of an
+   option.  Load factor is kept under 1/2 by doubling.  Deletion uses
+   backward-shift, so no tombstones accumulate. *)
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
 let[@inline] mix k mask = (k * 0x2545F4914F6CDD1D) lsr 1 land mask
@@ -19,13 +18,6 @@ module Int = struct
     mutable keys : int array;
     mutable vals : int array;
     mutable n : int;
-    (* slots filled since the last [clear], so [clear] is O(inserts)
-       rather than O(table); invalidated by [remove] (backward-shift
-       moves entries), which forces the next [clear] to do a full
-       sweep *)
-    mutable used : int array;
-    mutable nused : int;
-    mutable removed : bool;
   }
 
   let create ?(initial = 64) () =
@@ -35,12 +27,7 @@ module Int = struct
       keys = Array.make size (-1);
       vals = Array.make size 0;
       n = 0;
-      used = Array.make size 0;
-      nused = 0;
-      removed = false;
     }
-
-  let size t = t.n
 
   let[@inline] find t k =
     let keys = t.keys and mask = t.mask in
@@ -52,16 +39,12 @@ module Int = struct
     done;
     if !c = k then t.vals.(!i) else -1
 
-  let mem t k = find t k <> -1
-
   let grow t =
     let old_keys = t.keys and old_vals = t.vals in
     let size = 2 * Array.length old_keys in
     t.mask <- size - 1;
     t.keys <- Array.make size (-1);
     t.vals <- Array.make size 0;
-    t.used <- Array.make size 0;
-    t.nused <- 0;
     Array.iteri
       (fun i k ->
         if k <> -1 then begin
@@ -70,9 +53,7 @@ module Int = struct
             j := (!j + 1) land t.mask
           done;
           t.keys.(!j) <- k;
-          t.vals.(!j) <- old_vals.(i);
-          t.used.(t.nused) <- !j;
-          t.nused <- t.nused + 1
+          t.vals.(!j) <- old_vals.(i)
         end)
       old_keys
 
@@ -97,15 +78,8 @@ module Int = struct
       end;
       t.keys.(!i) <- k;
       t.vals.(!i) <- v;
-      t.used.(t.nused) <- !i;
-      t.nused <- t.nused + 1;
       t.n <- t.n + 1
     end
-
-  (* [add_to t k d]: bump [k]'s value by [d], treating absent as 0. *)
-  let add_to t k d =
-    let v = find t k in
-    set t k (if v = -1 then d else v + d)
 
   let remove t k =
     let mask = t.mask in
@@ -117,7 +91,6 @@ module Int = struct
     done;
     if !c = k then begin
       t.n <- t.n - 1;
-      t.removed <- true;
       let hole = ref !i in
       t.keys.(!hole) <- -1;
       let j = ref ((!i + 1) land mask) in
@@ -132,103 +105,4 @@ module Int = struct
         j := (!j + 1) land mask
       done
     end
-
-  let clear t =
-    if t.removed then begin
-      Array.fill t.keys 0 (Array.length t.keys) (-1);
-      t.removed <- false
-    end
-    else
-      for i = 0 to t.nused - 1 do
-        t.keys.(t.used.(i)) <- -1
-      done;
-    t.nused <- 0;
-    t.n <- 0
-end
-
-(* int -> int64, values unboxed in a [Bytes] buffer.  Lookup is split
-   into [find_slot] / [value_at] so a miss costs no allocation and a
-   hit allocates only if the caller boxes the result itself. *)
-module I64 = struct
-  type t = {
-    mutable mask : int;
-    mutable keys : int array;
-    mutable vals : Bytes.t;
-    mutable n : int;
-    mutable used : int array;  (* as in {!Int}: slots for O(n) clear *)
-    mutable nused : int;
-  }
-
-  let create ?(initial = 64) () =
-    let size = next_pow2 (max 16 initial) 16 in
-    {
-      mask = size - 1;
-      keys = Array.make size (-1);
-      vals = Bytes.create (size * 8);
-      n = 0;
-      used = Array.make size 0;
-      nused = 0;
-    }
-
-  let size t = t.n
-
-  let[@inline] find_slot t k =
-    let keys = t.keys and mask = t.mask in
-    let i = ref (mix k mask) in
-    let c = ref keys.(!i) in
-    while !c <> k && !c <> -1 do
-      i := (!i + 1) land mask;
-      c := keys.(!i)
-    done;
-    if !c = k then !i else -1
-
-  let[@inline] value_at t slot = Bytes.get_int64_le t.vals (slot * 8)
-
-  let grow t =
-    let old_keys = t.keys and old_vals = t.vals in
-    let size = 2 * Array.length old_keys in
-    t.mask <- size - 1;
-    t.keys <- Array.make size (-1);
-    t.vals <- Bytes.create (size * 8);
-    t.used <- Array.make size 0;
-    t.nused <- 0;
-    Array.iteri
-      (fun i k ->
-        if k <> -1 then begin
-          let j = ref (mix k t.mask) in
-          while t.keys.(!j) <> -1 do
-            j := (!j + 1) land t.mask
-          done;
-          t.keys.(!j) <- k;
-          Bytes.set_int64_le t.vals (!j * 8)
-            (Bytes.get_int64_le old_vals (i * 8));
-          t.used.(t.nused) <- !j;
-          t.nused <- t.nused + 1
-        end)
-      old_keys
-
-  let set t k v =
-    if k < 0 then invalid_arg "Imap.I64.set: negative key";
-    let slot = find_slot t k in
-    if slot >= 0 then Bytes.set_int64_le t.vals (slot * 8) v
-    else begin
-      if 2 * (t.n + 1) > Array.length t.keys then grow t;
-      let mask = t.mask in
-      let i = ref (mix k mask) in
-      while t.keys.(!i) <> -1 do
-        i := (!i + 1) land mask
-      done;
-      t.keys.(!i) <- k;
-      Bytes.set_int64_le t.vals (!i * 8) v;
-      t.used.(t.nused) <- !i;
-      t.nused <- t.nused + 1;
-      t.n <- t.n + 1
-    end
-
-  let clear t =
-    for i = 0 to t.nused - 1 do
-      t.keys.(t.used.(i)) <- -1
-    done;
-    t.nused <- 0;
-    t.n <- 0
 end

@@ -3,48 +3,22 @@
     Linear probing over plain arrays, -1 as the empty-key sentinel
     (keys must be non-negative), misses answered by sentinel instead
     of [option] — so lookups on the per-memory-access path neither
-    hash strings nor allocate.  Used for the page-translation cache,
-    the write-combining buffer, and (via [Mtm.Wset]) transaction
-    write-sets. *)
+    hash strings nor allocate.  Used for the page-translation cache
+    ([Region.Pmem]) and the durability sanitizer's shadow state
+    ({!Pmcheck}). *)
 
 (** [int -> int]; absent keys read as [-1], so store only values the
-    caller never confuses with a miss (frame numbers, counts). *)
+    caller never confuses with a miss (frame numbers, packed states). *)
 module Int : sig
   type t
 
   val create : ?initial:int -> unit -> t
-  val size : t -> int
 
   val find : t -> int -> int
   (** Value of a key, or [-1] when absent. *)
 
-  val mem : t -> int -> bool
   val set : t -> int -> int -> unit
-
-  val add_to : t -> int -> int -> unit
-  (** [add_to t k d] bumps [k]'s value by [d], treating absent as 0. *)
 
   val remove : t -> int -> unit
   (** Backward-shift deletion; no-op when absent. *)
-
-  val clear : t -> unit
-  (** Empty the map keeping its arrays (no allocation). *)
-end
-
-(** [int -> int64], values unboxed in a [Bytes] buffer. *)
-module I64 : sig
-  type t
-
-  val create : ?initial:int -> unit -> t
-  val size : t -> int
-
-  val find_slot : t -> int -> int
-  (** Slot of a key, or [-1] when absent; read it with {!value_at}.
-      The split lets a hit avoid [option] allocation. *)
-
-  val value_at : t -> int -> int64
-  (** Value in a slot returned by {!find_slot} (must be [>= 0]). *)
-
-  val set : t -> int -> int64 -> unit
-  val clear : t -> unit
 end

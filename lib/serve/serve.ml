@@ -70,8 +70,7 @@ type req = { key : int64; is_get : bool; arrival_ns : int }
 
 (* The per-worker STM configuration: the pipelined commit path (the
    one whose log-full stall this module's admission policy bounds),
-   with the same scalable-knob settings as the pipeline arm of
-   scale_bench. *)
+   with the same knob settings as the pipeline arm of scale_bench. *)
 let mtm_config cfg =
   {
     Mtm.Txn.default_config with
@@ -80,7 +79,6 @@ let mtm_config cfg =
     ts_lease = 32;
     lock_stripes = 8;
     group_commit = true;
-    gc_trunc_batch = 32;
     pipeline = true;
     pipe_window = 32;
     cm = Mtm.Txn.Cm_adaptive;

@@ -1,7 +1,10 @@
-(* CLI tests for regionctl: each subcommand parses its own fresh
+(* CLI tests.  regionctl: each subcommand parses its own fresh
    arguments, so a flag given to one subcommand can neither leak into
    nor be required by another — `stats --json` emits JSON while `fsck`
-   without the flag stays text, and vice versa. *)
+   without the flag stays text, and vice versa — and `fsck` exits 0
+   clean, 1 on a missing instance, 2 on findings.  sched_explore: a
+   knob combination the transaction system rejects is a one-line
+   error, not an uncaught exception. *)
 
 let with_tmpdir f =
   let dir = Filename.temp_file "mnemocli" "" in
@@ -21,12 +24,13 @@ let with_tmpdir f =
 
 (* cwd is _build/default/test under `dune runtest`, the project root
    under `dune exec` *)
-let exe =
-  if Sys.file_exists "../bin/regionctl.exe" then "../bin/regionctl.exe"
-  else "_build/default/bin/regionctl.exe"
+let exe name =
+  let built = Printf.sprintf "../bin/%s.exe" name in
+  if Sys.file_exists built then built
+  else Printf.sprintf "_build/default/bin/%s.exe" name
 
-let run_cli args =
-  let out = Filename.temp_file "regionctl" ".out" in
+let run_exe exe args =
+  let out = Filename.temp_file "cli" ".out" in
   let cmd =
     Printf.sprintf "%s %s > %s 2>&1" (Filename.quote exe)
       (String.concat " " (List.map Filename.quote args))
@@ -38,6 +42,8 @@ let run_cli args =
   close_in ic;
   Sys.remove out;
   (code, String.trim s)
+
+let run_cli = run_exe (exe "regionctl")
 
 let starts_with prefix s =
   String.length s >= String.length prefix
@@ -109,7 +115,48 @@ let test_missing_instance_fails () =
   let code, out = run_cli [ "stats"; "/nonexistent/mnemo" ] in
   Alcotest.(check bool) "missing dir is an error" true (code <> 0);
   Alcotest.(check bool) "error names the path" true
+    (contains "/nonexistent/mnemo" out);
+  let code, out = run_cli [ "fsck"; "/nonexistent/mnemo" ] in
+  Alcotest.(check int) "fsck of a missing dir exits 1" 1 code;
+  Alcotest.(check bool) "fsck error names the path" true
     (contains "/nonexistent/mnemo" out)
+
+(* The seeded leak of test_check's fsck tests: sever the only root of
+   an allocated block with a durable out-of-band store. *)
+let test_fsck_findings_exit_2 () =
+  with_tmpdir (fun dir ->
+      make_instance dir;
+      let inst = Mnemosyne.open_instance ~dir () in
+      let slot = Mnemosyne.pstatic inst "cli.obj" 8 in
+      let v = Mnemosyne.view inst in
+      Region.Pmem.wtstore v slot 0L;
+      Region.Pmem.fence v;
+      Mnemosyne.close inst;
+      let code, out = run_cli [ "fsck"; dir ] in
+      Alcotest.(check int) "fsck with findings exits 2" 2 code;
+      Alcotest.(check bool) "the leak is reported" true (contains "leak" out))
+
+let test_sched_explore_rejects_bad_knobs () =
+  with_tmpdir (fun dir ->
+      List.iter
+        (fun args ->
+          let code, out =
+            run_exe (exe "sched_explore")
+              (args @ [ "--seeds"; "1"; "--dir"; dir ])
+          in
+          let what = String.concat " " args in
+          Alcotest.(check int) (what ^ " exits 2") 2 code;
+          Alcotest.(check bool)
+            (what ^ " is one line")
+            true
+            (starts_with "sched_explore: invalid configuration: " out
+            && not (String.contains out '\n')))
+        [
+          [ "--stripes"; "3" ];
+          [ "--lease"; "0" ];
+          [ "--threads"; "0" ];
+          [ "--group-commit" ];
+        ])
 
 let () =
   Alcotest.run "cli"
@@ -124,5 +171,12 @@ let () =
             test_stats_json_escapes_root_names;
           Alcotest.test_case "missing instance fails" `Quick
             test_missing_instance_fails;
+          Alcotest.test_case "fsck findings exit 2" `Quick
+            test_fsck_findings_exit_2;
+        ] );
+      ( "sched_explore",
+        [
+          Alcotest.test_case "invalid knobs are a one-line error" `Quick
+            test_sched_explore_rejects_bad_knobs;
         ] );
     ]

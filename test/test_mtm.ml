@@ -829,34 +829,22 @@ let prop_lease_draws_unique_above_floor =
         ops)
 
 (* ------------------------------------------------------------------ *)
-(* Striped lock table geometry, and false-conflict attribution *)
+(* Lock table geometry, and false-conflict attribution *)
 
-let prop_lock_striping_geometry =
+let prop_lock_table_geometry =
   QCheck.Test.make
-    ~name:"striping: capacity multiplies, adjacent lines change stripe"
+    ~name:"geometry: handle is the line modulo the table size"
     ~count:200
     QCheck.(pair (int_bound 3) (int_bound 0x0FFF_FFFF))
-    (fun (sbits, addr) ->
-      let stripes = 1 lsl sbits in
-      let t = Mtm.Lock_table.create ~bits:6 ~stripes () in
+    (fun (extra_bits, addr) ->
+      let t = Mtm.Lock_table.create ~bits:(6 + extra_bits) () in
       let entries = Mtm.Lock_table.entries t in
       let h = Mtm.Lock_table.index_of t addr in
       let line = addr lsr 6 in
-      (* striping multiplies the table instead of splitting it, so the
-         aliasing stride grows with the stripe count *)
-      entries = stripes * 64
-      && Mtm.Lock_table.stripes t = stripes
-      (* the handle is the line number modulo the enlarged table: one
-         stripe is bit-for-bit the historical flat table, and distinct
-         lines below the table size never alias *)
+      entries = 64 lsl extra_bits
+      (* distinct lines below the table size never alias *)
       && h = line land (entries - 1)
-      (* the low handle bits select the stripe, so adjacent lines land
-         on different stripe arrays and a contiguous write set spreads
-         its lock metadata instead of queueing on one array *)
-      && (stripes = 1
-         || Mtm.Lock_table.index_of t (addr + 64) land (stripes - 1)
-            <> h land (stripes - 1))
-      (* every byte of a 64-byte line still shares one lock *)
+      (* every byte of a 64-byte line shares one lock *)
       && Mtm.Lock_table.index_of t ((line * 64) + 63) = h)
 
 (* The aliasing counter separates data conflicts from table-geometry
@@ -912,14 +900,22 @@ let test_false_conflict_counter () =
         (Obs.Metrics.counter_value fc > 0))
 
 (* ------------------------------------------------------------------ *)
-(* Scalable commit end to end: leases + stripes + group commit survive
-   a crash with deferred truncations pending *)
+(* Pipelined commit *)
 
-let test_scalable_commit_recovery () =
+(* Leases + stripes + group commit survive a crash with write-backs
+   still pending: no drainer is installed, so producers retire their
+   own queues only at the window bound. *)
+let test_pipeline_commit_recovery () =
   with_tmpdir (fun dir ->
       let m, pmem = stack dir in
       let cfg =
-        { small_cfg with ts_lease = 4; lock_stripes = 4; group_commit = true }
+        {
+          small_cfg with
+          ts_lease = 4;
+          lock_stripes = 4;
+          group_commit = true;
+          pipeline = true;
+        }
       in
       let pool = pool_of ~config:cfg pmem in
       let data = data_region pmem 4096 in
@@ -936,8 +932,8 @@ let test_scalable_commit_recovery () =
       Sim.run sim;
       Alcotest.(check int64) "no lost updates" 100L
         (Region.Pmem.load (Region.Pmem.default_view pmem) data);
-      (* crash with group commit's deferred truncations still pending:
-         the logs hold committed redo whose write-back never ran *)
+      (* crash with deferred write-backs still pending: the logs hold
+         committed redo whose write-back never ran *)
       Scm.Crash.inject
         ~policy:{ cache = Scm.Crash.Drop_dirty; wc = Scm.Crash.Wc_apply_all }
         m;
@@ -952,8 +948,16 @@ let test_scalable_commit_recovery () =
       Alcotest.(check int64) "recovered exactly" 100L
         (Region.Pmem.load (Region.Pmem.default_view pmem') data))
 
-(* ------------------------------------------------------------------ *)
-(* Pipelined commit *)
+(* Group commit exists only inside the pipelined commit. *)
+let test_group_commit_requires_pipeline () =
+  with_tmpdir (fun dir ->
+      let _, pmem = stack dir in
+      Alcotest.check_raises "group commit without the pipeline rejected"
+        (Invalid_argument
+           "Txn.create_pool: group commit runs only as part of the \
+pipelined commit")
+        (fun () ->
+          ignore (pool_of ~config:{ small_cfg with group_commit = true } pmem)))
 
 let pipeline_cfg =
   {
@@ -1343,7 +1347,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_lock_striding;
           QCheck_alcotest.to_alcotest prop_lock_acquire_reentrant;
           QCheck_alcotest.to_alcotest prop_lock_release_versioned;
-          QCheck_alcotest.to_alcotest prop_lock_striping_geometry;
+          QCheck_alcotest.to_alcotest prop_lock_table_geometry;
           Alcotest.test_case "false conflict counter" `Quick
             test_false_conflict_counter;
         ] );
@@ -1353,13 +1357,12 @@ let () =
             test_timestamp_ceiling;
           QCheck_alcotest.to_alcotest prop_lease_draws_unique_above_floor;
         ] );
-      ( "scalable commit",
-        [
-          Alcotest.test_case "recovery with leases and group commit" `Quick
-            test_scalable_commit_recovery;
-        ] );
       ( "pipelined commit",
         [
+          Alcotest.test_case "recovery with leases and group commit" `Quick
+            test_pipeline_commit_recovery;
+          Alcotest.test_case "group commit requires the pipeline" `Quick
+            test_group_commit_requires_pipeline;
           Alcotest.test_case "read before write-back sees committed value"
             `Quick test_pipeline_read_before_write_back;
           Alcotest.test_case "crash between fence and write-back recovers"

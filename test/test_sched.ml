@@ -81,17 +81,9 @@ let test_replay_roundtrip_with_aborts () =
    Timestamp.next.  Replaying the pre-fix trace against fixed code
    legitimately diverges once the fix aborts the victim transaction —
    what must hold is that the schedule no longer produces a
-   serializability violation.
-
-   The group-commit-attach and lease-crosslog traces exercise the
-   scalable-commit configuration (timestamp leases, striped lock table,
-   group commit) under the durability sanitizer: the first tripped the
-   abandoned-deferred-truncation bug (a second handle attaching to a
-   log slot advanced the head over a prior handle's never-flushed
-   records), the second the cross-log coverage false positive in the
-   sanitizer's truncation rule at a lease-refill boundary.  Their
-   headers carry lease/stripes/group_commit/pmcheck, so the replay
-   re-runs the scalable configuration sanitized. *)
+   serializability violation.  A trace header carries the run's
+   configuration (lease, stripes, group commit, pipeline, pmcheck), so
+   the replay re-runs it exactly. *)
 let test_regression_traces () =
   (* cwd is test/ under [dune runtest], the project root under
      [dune exec] *)
@@ -164,40 +156,13 @@ let test_fuzz_zero_latency () =
                [ 0; 1; 2; 3; 4; 5 ])
            [ Sim.Schedule.Seeded_shuffle; Sim.Schedule.Priority ]))
 
-let test_fuzz_scalable_commit () =
-  (* Leases, striped locks and group commit together, sanitized: the
-     configuration where a lease-refill or drain-window interleaving
-     can reorder the commit pipeline. *)
-  with_tmpdir (fun dir ->
-      let base =
-        {
-          (H.default_cfg ~dir) with
-          H.zero_lat = true;
-          nslots = 8;
-          lease = 3;
-          stripes = 4;
-          group_commit = true;
-          pmcheck = true;
-        }
-      in
-      fuzz "scalable"
-        (List.concat_map
-           (fun policy ->
-             List.map
-               (fun seed ->
-                 ( { base with H.policy; seed },
-                   Printf.sprintf "%s/%d" (Sim.Schedule.policy_name policy)
-                     seed ))
-               [ 0; 1; 2 ])
-           [ Sim.Schedule.Fifo; Sim.Schedule.Seeded_shuffle;
-             Sim.Schedule.Priority ]))
-
 let test_fuzz_pipelined_commit () =
-  (* The pipelined commit on top of the full scalable stack, sanitized:
-     locks release at the durability fence, so the fuzz drives readers
-     into the release-to-write-back window while the drainer daemon's
-     sweeps interleave with producers — plus the wait-die contention
-     manager's wait/abort decisions under adversarial ties. *)
+  (* The pipelined commit with leases, stripes and group commit,
+     sanitized: locks release at the durability fence, so the fuzz
+     drives readers into the release-to-write-back window while the
+     drainer daemon's sweeps interleave with producers — plus the
+     wait-die contention manager's wait/abort decisions under
+     adversarial ties. *)
   with_tmpdir (fun dir ->
       let base =
         {
@@ -367,8 +332,6 @@ let () =
             test_fuzz_default_latency;
           Alcotest.test_case "zero latency, adversarial" `Slow
             test_fuzz_zero_latency;
-          Alcotest.test_case "scalable commit, sanitized" `Slow
-            test_fuzz_scalable_commit;
           Alcotest.test_case "pipelined commit, sanitized" `Slow
             test_fuzz_pipelined_commit;
           Alcotest.test_case "admission rejections, sanitized" `Slow
