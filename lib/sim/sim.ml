@@ -307,87 +307,170 @@ module Schedule = struct
         with Parse msg -> Error (Printf.sprintf "%s: %s" path msg))
 end
 
-(* Binary min-heap of events keyed by (time, key, seq): [key] is the
-   schedule policy's same-time tiebreak (always 0 under Fifo), [seq]
-   gives FIFO order among same-time same-key events.  A [cancelled]
-   entry (a park timeout whose waiter was notified first) stays in the
-   heap until it surfaces and is then dropped unrun. *)
-module Heap = struct
-  type entry = {
-    time : int;
-    key : int;
-    seq : int;
-    proc : int;
-    thunk : unit -> unit;
-    mutable cancelled : bool;
+(* The event queue, a binary min-heap over slots.  Each queued event owns
+   one slot: its wake time, tiebreak key, sequence number and process
+   sit in int arrays, and what it runs is either a continuation (a delay
+   or a park resume) or a thunk (a spawn or a park timeout).  Events
+   order by (time, key, seq): [key] is the schedule policy's same-time
+   tiebreak (always 0 under Fifo), [seq] gives FIFO order among
+   same-time same-key events.  The heap orders slot numbers, so a sift
+   moves ints and never runs the write barrier.  [heap] holds every
+   slot: its first [n] entries are the heap, the rest the free list, so
+   the slot a pop frees is the next one taken.  A cancelled slot (a park
+   timeout whose waiter was notified first) stays queued until it
+   surfaces and is then dropped unrun. *)
+module Events = struct
+  type kont = (unit, unit) Effect.Deep.continuation
+
+  (* What a slot runs. *)
+  let kind_kont = 'k'
+  let kind_thunk = 't'
+  let kind_cancelled = 'x'
+
+  type t = {
+    mutable heap : int array;
+    mutable n : int;
+    mutable time : int array;
+    mutable key : int array;
+    mutable seq : int array;
+    mutable proc : int array;
+    mutable kind : Bytes.t;
+    mutable konts : kont array;  (* empty until the first continuation *)
+    mutable thunks : (unit -> unit) array;
   }
 
-  type t = { mutable a : entry array; mutable n : int }
+  let create () =
+    let cap = 256 in
+    {
+      heap = Array.init cap Fun.id;
+      n = 0;
+      time = Array.make cap 0;
+      key = Array.make cap 0;
+      seq = Array.make cap 0;
+      proc = Array.make cap 0;
+      kind = Bytes.make cap kind_kont;
+      konts = [||];
+      thunks = Array.make cap ignore;
+    }
 
-  let dummy =
-    { time = 0; key = 0; seq = 0; proc = 0; thunk = ignore; cancelled = false }
+  let grow q =
+    let cap = Array.length q.heap in
+    let ext a fill =
+      let b = Array.make (2 * cap) fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    q.heap <- Array.init (2 * cap) (fun i -> if i < cap then q.heap.(i) else i);
+    q.time <- ext q.time 0;
+    q.key <- ext q.key 0;
+    q.seq <- ext q.seq 0;
+    q.proc <- ext q.proc 0;
+    q.kind <- Bytes.extend q.kind 0 cap;
+    if Array.length q.konts > 0 then q.konts <- ext q.konts q.konts.(0);
+    q.thunks <- ext q.thunks ignore
 
-  let create () = { a = Array.make 256 dummy; n = 0 }
+  (* Slots come from [heap], so they are always in bounds. *)
+  let before q a b =
+    let ta = Array.unsafe_get q.time a and tb = Array.unsafe_get q.time b in
+    ta < tb
+    || ta = tb
+       &&
+       let ka = Array.unsafe_get q.key a and kb = Array.unsafe_get q.key b in
+       ka < kb
+       || (ka = kb && Array.unsafe_get q.seq a < Array.unsafe_get q.seq b)
 
-  let before x y =
-    x.time < y.time
-    || (x.time = y.time
-       && (x.key < y.key || (x.key = y.key && x.seq < y.seq)))
+  (* Place slot [s] in the hole at [i], moving parents down past it. *)
+  let rec sift_up q i s =
+    let p = (i - 1) / 2 in
+    if i > 0 && before q s q.heap.(p) then begin
+      q.heap.(i) <- q.heap.(p);
+      sift_up q p s
+    end
+    else q.heap.(i) <- s
 
-  let push t e =
-    if t.n = Array.length t.a then begin
-      let bigger = Array.make (2 * t.n) dummy in
-      Array.blit t.a 0 bigger 0 t.n;
-      t.a <- bigger
-    end;
-    t.a.(t.n) <- e;
-    let i = ref t.n in
-    t.n <- t.n + 1;
-    while !i > 0 && before t.a.(!i) t.a.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = t.a.(p) in
-      t.a.(p) <- t.a.(!i);
-      t.a.(!i) <- tmp;
-      i := p
-    done
-
-  let pop t =
-    if t.n = 0 then None
+  (* Move the hole at [i] down to a leaf, along the earlier child, and
+     answer the leaf.  Refilling a hole at the root this way and then
+     sifting the new slot up from the leaf takes about half the
+     comparisons of a plain sift-down, because the slot that refills it
+     usually belongs near the bottom. *)
+  let rec hole_to_leaf q i =
+    let l = (2 * i) + 1 in
+    if l >= q.n then i
     else begin
-      let top = t.a.(0) in
-      t.n <- t.n - 1;
-      t.a.(0) <- t.a.(t.n);
-      t.a.(t.n) <- dummy;
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.n && before t.a.(l) t.a.(!smallest) then smallest := l;
-        if r < t.n && before t.a.(r) t.a.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = t.a.(!smallest) in
-          t.a.(!smallest) <- t.a.(!i);
-          t.a.(!i) <- tmp;
-          i := !smallest
-        end
-        else continue := false
-      done;
-      Some top
+      let c =
+        if l + 1 < q.n && before q q.heap.(l + 1) q.heap.(l) then l + 1 else l
+      in
+      q.heap.(i) <- q.heap.(c);
+      hole_to_leaf q c
     end
 
-  let size t = t.n
+  (* Queue an event in a free slot and answer the slot. *)
+  let add q ~time ~key ~seq ~proc kind =
+    if q.n = Array.length q.heap then grow q;
+    let s = q.heap.(q.n) in
+    q.time.(s) <- time;
+    q.key.(s) <- key;
+    q.seq.(s) <- seq;
+    q.proc.(s) <- proc;
+    Bytes.set q.kind s kind;
+    sift_up q q.n s;
+    q.n <- q.n + 1;
+    s
+
+  let add_kont q ~time ~key ~seq ~proc k =
+    let s = add q ~time ~key ~seq ~proc kind_kont in
+    if Array.length q.konts = 0 then
+      q.konts <- Array.make (Array.length q.heap) k
+    else q.konts.(s) <- k
+
+  let add_thunk q ~time ~key ~seq ~proc f =
+    let s = add q ~time ~key ~seq ~proc kind_thunk in
+    q.thunks.(s) <- f;
+    s
+
+  let cancel q s =
+    Bytes.set q.kind s kind_cancelled;
+    q.thunks.(s) <- ignore
+
+  (* The earliest event's slot; [n > 0].  It stays readable until the
+     next [add]. *)
+  let pop q =
+    let s = q.heap.(0) in
+    q.n <- q.n - 1;
+    let last = q.heap.(q.n) in
+    q.heap.(q.n) <- s;
+    if q.n > 0 then sift_up q (hole_to_leaf q 0) last;
+    s
+
+  (* Give the earliest event a new [seq] (a fresh one, so it falls
+     behind its same-time same-key peers). *)
+  let reseq_top q seq =
+    let s = q.heap.(0) in
+    q.seq.(s) <- seq;
+    sift_up q (hole_to_leaf q 0) s
+
+  (* Would an event at [time] with tiebreak [key], whose [seq] is newer
+     than every queued one, run before everything queued? *)
+  let precedes_all q ~time ~key =
+    q.n = 0
+    ||
+    let s = q.heap.(0) in
+    let t = q.time.(s) in
+    time < t || (time = t && key < q.key.(s))
 end
 
 type t = {
   mutable clock : int;
   mutable seq : int;
-  events : Heap.t;
+  events : Events.t;
   mutable started : int;
   mutable suspended : int;  (* processes parked via [park] *)
   sched : Schedule.t;
   mutable cur_proc : int;  (* process whose event is executing;
                               -1 = outside any process (the root) *)
+  mutable in_proc : bool;  (* [run] is executing [cur_proc]'s fiber, not
+                              scheduler code such as a park callback *)
+  mutable until : int;  (* the running [run]'s limit, else [max_int] *)
   mutable next_proc : int;
   mutable nsync : int;  (* labels for anonymous sync objects *)
   mutable race : Race_api.hooks option;
@@ -396,31 +479,21 @@ type t = {
          delivery, mutex ownership, service wake tokens — is where HB
          edges come from; plain [yield]/[delay] and park timeouts
          deliberately fire nothing. *)
+  (* The delay being queued, passed from [delay] to its handler. *)
+  mutable due_time : int;
+  mutable due_key : int;
+  mutable due_seq : int;
+  delay_eff : unit Effect.t;
+  on_delay : (Events.kont -> unit) option;
+  handler : (unit, unit) Effect.Deep.handler;
 }
 
-(* [Park] carries no simulator: the handler installed by [run_process]
-   knows which simulation the parking process belongs to, so layers
-   that hold only an environment's [delay] closure can still wait. *)
+(* [Park] carries no simulator: the handler a process runs under knows
+   which simulation it belongs to, so layers that hold only an
+   environment's [delay] closure can still wait. *)
 type _ Effect.t +=
-  | Delay : t * int -> unit Effect.t
+  | Delay : t -> unit Effect.t
   | Park : int option * ((unit -> unit) -> unit) -> unit Effect.t
-
-let create ?schedule () =
-  let sched =
-    match schedule with Some s -> s | None -> Schedule.fifo ()
-  in
-  {
-    clock = 0;
-    seq = 0;
-    events = Heap.create ();
-    started = 0;
-    suspended = 0;
-    sched;
-    cur_proc = -1;
-    next_proc = 0;
-    nsync = 0;
-    race = None;
-  }
 
 let now t = t.clock
 let schedule_of t = t.sched
@@ -433,19 +506,115 @@ let sync_label t prefix =
   t.nsync <- n + 1;
   Printf.sprintf "sim.%s.%d" prefix n
 
-let event_for t ~proc time thunk =
+(* Every queued event takes the next [seq] and one tiebreak decision. *)
+let next_seq t =
   let seq = t.seq in
   t.seq <- seq + 1;
+  seq
+
+let schedule_kont t ~proc time k =
+  let seq = next_seq t in
   let key = Schedule.next_key t.sched ~proc in
-  let e = { Heap.time; key; seq; proc; thunk; cancelled = false } in
-  Heap.push t.events e;
-  e
+  Events.add_kont t.events ~time ~key ~seq ~proc k
 
-let schedule_for t ~proc time thunk = ignore (event_for t ~proc time thunk)
+let schedule_thunk t ~proc time f =
+  let seq = next_seq t in
+  let key = Schedule.next_key t.sched ~proc in
+  Events.add_thunk t.events ~time ~key ~seq ~proc f
 
+let park_process t timeout register k =
+  t.in_proc <- false;
+  let proc = t.cur_proc in
+  t.suspended <- t.suspended + 1;
+  let parked = ref true in
+  let unpark () =
+    parked := false;
+    t.suspended <- t.suspended - 1
+  in
+  let timer =
+    match timeout with
+    | None -> -1
+    | Some ns ->
+        schedule_thunk t ~proc (t.clock + ns) (fun () ->
+            unpark ();
+            Effect.Deep.continue k ())
+  in
+  register (fun () ->
+      if !parked then begin
+        unpark ();
+        if timer >= 0 then Events.cancel t.events timer;
+        (* Resume delivery is a direct fiber-to-fiber HB edge: the
+           resumer's history happens-before everything the parked
+           process does next. *)
+        (match t.race with
+        | Some h -> h.transfer ~src:t.cur_proc ~dst:proc
+        | None -> ());
+        schedule_kont t ~proc t.clock k
+      end)
+
+let create ?schedule () =
+  let sched =
+    match schedule with Some s -> s | None -> Schedule.fifo ()
+  in
+  let rec t =
+    {
+      clock = 0;
+      seq = 0;
+      events = Events.create ();
+      started = 0;
+      suspended = 0;
+      sched;
+      cur_proc = -1;
+      in_proc = false;
+      until = max_int;
+      next_proc = 0;
+      nsync = 0;
+      race = None;
+      due_time = 0;
+      due_key = 0;
+      due_seq = 0;
+      delay_eff = Delay t;
+      on_delay =
+        Some
+          (fun k ->
+            Events.add_kont t.events ~time:t.due_time ~key:t.due_key
+              ~seq:t.due_seq ~proc:t.cur_proc k);
+      handler =
+        {
+          retc = ignore;
+          exnc = raise;
+          effc =
+            (fun (type a) (eff : a Effect.t) :
+                 ((a, unit) Effect.Deep.continuation -> unit) option ->
+              match eff with
+              | Delay sim -> sim.on_delay
+              | Park (timeout, register) ->
+                  Some (park_process t timeout register)
+              | _ -> None);
+        };
+    }
+  in
+  t
+
+(* A delay takes its [seq] and tiebreak decision up front.  If the
+   running process's wake-up would be the next event [run] pops anyway
+   (before every queued event, within the running [until]), the clock
+   advances in place: the same event in the same order, without the two
+   stack switches through the run loop.  Otherwise the process suspends
+   and its continuation is queued. *)
 let delay t ns =
   if ns < 0 then invalid_arg "Sim.delay: negative";
-  Effect.perform (Delay (t, ns))
+  let time = t.clock + ns in
+  let seq = next_seq t in
+  let key = Schedule.next_key t.sched ~proc:t.cur_proc in
+  if t.in_proc && time <= t.until && Events.precedes_all t.events ~time ~key
+  then t.clock <- time
+  else begin
+    t.due_time <- time;
+    t.due_key <- key;
+    t.due_seq <- seq;
+    Effect.perform t.delay_eff
+  end
 
 let yield t = delay t 0
 
@@ -457,58 +626,7 @@ let park ?timeout register =
 
 let suspend (_ : t) register = park register
 
-let run_process t body =
-  let open Effect.Deep in
-  t.started <- t.started + 1;
-  match_with body ()
-    {
-      retc = (fun () -> ());
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Delay (sim, ns) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  schedule_for sim ~proc:sim.cur_proc (sim.clock + ns)
-                    (fun () -> continue k ()))
-          | Park (timeout, register) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let proc = t.cur_proc in
-                  t.suspended <- t.suspended + 1;
-                  let parked = ref true in
-                  let timer =
-                    match timeout with
-                    | None -> None
-                    | Some ns ->
-                        Some
-                          (event_for t ~proc (t.clock + ns) (fun () ->
-                               if !parked then begin
-                                 parked := false;
-                                 t.suspended <- t.suspended - 1;
-                                 continue k ()
-                               end))
-                  in
-                  register (fun () ->
-                      if !parked then begin
-                        parked := false;
-                        t.suspended <- t.suspended - 1;
-                        Option.iter
-                          (fun e -> e.Heap.cancelled <- true)
-                          timer;
-                        (* Resume delivery is a direct fiber-to-fiber HB
-                           edge: the resumer's history happens-before
-                           everything the parked process does next. *)
-                        (match t.race with
-                        | Some h -> h.transfer ~src:t.cur_proc ~dst:proc
-                        | None -> ());
-                        schedule_for t ~proc t.clock (fun () -> continue k ())
-                      end))
-          | _ -> None);
-    }
-
-let spawn_at ?name:_ t time body =
+let spawn t body =
   let proc = t.next_proc in
   t.next_proc <- proc + 1;
   (* Spawn seeds the child's clock with the parent's: everything the
@@ -516,40 +634,61 @@ let spawn_at ?name:_ t time body =
   (match t.race with
   | Some h -> h.fork ~parent:t.cur_proc ~child:proc
   | None -> ());
-  schedule_for t ~proc time (fun () -> run_process t body)
+  ignore
+    (schedule_thunk t ~proc t.clock (fun () ->
+         t.started <- t.started + 1;
+         Effect.Deep.match_with body () t.handler))
 
-let spawn ?name t body = spawn_at ?name t t.clock body
+let rec run_events t =
+  let q = t.events in
+  if q.n = 0 then begin
+    if t.suspended > 0 then
+      raise
+        (Deadlock
+           (Printf.sprintf "%d process(es) suspended with no events"
+              t.suspended))
+  end
+  else
+    let s = q.heap.(0) in
+    let kind = Bytes.get q.kind s in
+    if kind = Events.kind_cancelled then begin
+      ignore (Events.pop q);
+      run_events t
+    end
+    else if q.time.(s) > t.until then begin
+      (* Stop, leaving the event queued behind its same-time peers: the
+         caller may resume later.  It keeps its tiebreak key (no
+         schedule decision is spent). *)
+      Events.reseq_top q (next_seq t);
+      t.clock <- t.until
+    end
+    else begin
+      ignore (Events.pop q);
+      t.clock <- q.time.(s);
+      t.cur_proc <- q.proc.(s);
+      t.in_proc <- true;
+      if kind = Events.kind_kont then Effect.Deep.continue q.konts.(s) ()
+      else begin
+        let f = q.thunks.(s) in
+        q.thunks.(s) <- ignore;
+        f ()
+      end;
+      run_events t
+    end
 
 let run ?until t =
-  let continue_run = ref true in
-  while !continue_run do
-    match Heap.pop t.events with
-    | None ->
-        if t.suspended > 0 then
-          raise
-            (Deadlock
-               (Printf.sprintf "%d process(es) suspended with no events"
-                  t.suspended));
-        continue_run := false
-    | Some e when e.Heap.cancelled -> ()
-    | Some e -> (
-        match until with
-        | Some limit when e.Heap.time > limit ->
-            (* Put it back and stop: caller may resume later.  The entry
-               keeps its tiebreak key (no schedule decision is spent),
-               matching the historical re-push under Fifo. *)
-            let seq = t.seq in
-            t.seq <- seq + 1;
-            Heap.push t.events { e with Heap.seq };
-            t.clock <- limit;
-            continue_run := false
-        | _ ->
-            t.clock <- e.Heap.time;
-            t.cur_proc <- e.Heap.proc;
-            e.Heap.thunk ())
-  done;
-  t.cur_proc <- -1;
-  ignore (Heap.size t.events)
+  t.until <- Option.value until ~default:max_int;
+  let outside () =
+    t.cur_proc <- -1;
+    t.in_proc <- false;
+    t.until <- max_int
+  in
+  match run_events t with
+  | () -> outside ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      outside ();
+      Printexc.raise_with_backtrace e bt
 
 let processes_run t = t.started
 

@@ -9,10 +9,13 @@
     Berkeley DB's central log buffer arise from genuine interleavings —
     deterministically, from a seeded schedule.
 
-    Processes are implemented with OCaml 5 effects: [delay] and blocking
-    operations perform an effect captured by the scheduler, which
-    resumes the continuation when the simulated clock reaches the wake
-    time.
+    Processes are implemented with OCaml 5 effects: blocking operations
+    perform an effect captured by the scheduler, which resumes the
+    continuation when the simulated clock reaches the wake time.  A
+    [delay] is a context switch only when another event is due first:
+    when its wake-up would be the next event anyway, the clock advances
+    in place, with the same event order and schedule decisions as the
+    switch would give.
 
     Events that fall due at the same simulated instant are ordered by a
     pluggable {!Schedule} policy.  The default ({!Schedule.Fifo}) runs
@@ -138,12 +141,9 @@ val set_race : t -> Race_api.hooks option -> unit
 val race_of : t -> Race_api.hooks option
 (** The installed hooks, for layers that piggyback on the sim's. *)
 
-val spawn : ?name:string -> t -> (unit -> unit) -> unit
+val spawn : t -> (unit -> unit) -> unit
 (** Register a process to start at the current simulated time.  The
     body runs when {!run} reaches that moment. *)
-
-val spawn_at : ?name:string -> t -> int -> (unit -> unit) -> unit
-(** Start a process at an absolute simulated time. *)
 
 val delay : t -> int -> unit
 (** Advance this process's clock by [ns], yielding to any process

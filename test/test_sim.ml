@@ -176,6 +176,177 @@ let test_determinism () =
   in
   Alcotest.(check string) "identical traces" (run ()) (run ())
 
+(* [current_proc] is -1 once [run] has returned, however it returned. *)
+let test_current_proc_reset () =
+  let sim = Sim.create () in
+  Sim.spawn sim (fun () -> Sim.park (fun _ -> ()));
+  (match Sim.run sim with
+  | exception Sim.Deadlock _ -> ()
+  | () -> Alcotest.fail "expected Deadlock");
+  Alcotest.(check int) "after Deadlock" (-1) (Sim.current_proc sim);
+  let sim = Sim.create () in
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 5;
+      failwith "process failed");
+  (match Sim.run sim with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "expected the process's exception");
+  Alcotest.(check int) "after a process raised" (-1) (Sim.current_proc sim)
+
+(* A delay needs a process to suspend: outside one, and in a [park]
+   register callback (which runs in the scheduler, not in the process),
+   it raises [Effect.Unhandled] — also after a run that ended in an
+   exception. *)
+let test_delay_outside_process () =
+  let unhandled f =
+    match f () with exception Effect.Unhandled _ -> true | () -> false
+  in
+  let sim = Sim.create () in
+  Alcotest.(check bool) "before any run" true
+    (unhandled (fun () -> Sim.delay sim 1));
+  let in_register = ref false in
+  Sim.spawn sim (fun () ->
+      Sim.park ~timeout:10 (fun _ ->
+          in_register := unhandled (fun () -> Sim.delay sim 1));
+      failwith "process failed");
+  (match Sim.run sim with exception Failure _ -> () | () -> ());
+  Alcotest.(check bool) "in a park register callback" true !in_register;
+  Alcotest.(check bool) "after a run that raised" true
+    (unhandled (fun () -> Sim.delay sim 1))
+
+(* The event order, pinned.  One program queues events every way there
+   is: zero, equal and distinct delays, timed parks resumed before and
+   after their timeouts, mutex handoffs, service wakes and spawns from
+   inside processes, run in [run ~until] slices.  The digest of its
+   (process, time) log and the schedule's decision and draw counts were
+   recorded with the record-heap scheduler that preceded the slot
+   queue; any change to the order events run in, or to the decisions
+   spent on them, moves one of the three. *)
+let event_order_program schedule =
+  let sim = Sim.create ~schedule () in
+  let log = Buffer.create 8192 in
+  let note p =
+    Buffer.add_string log (Printf.sprintf "%d@%d;" p (Sim.now sim))
+  in
+  let m = Sim.Mutex_r.create sim in
+  let parked = Queue.create () in
+  let backlog = ref 0 in
+  let svc =
+    Sim.Service.spawn sim ~work:(fun () ->
+        !backlog > 0
+        && begin
+             decr backlog;
+             note 99;
+             Sim.delay sim 3;
+             true
+           end)
+  in
+  let live = ref 0 in
+  let rec worker p rounds () =
+    for i = 0 to rounds - 1 do
+      (match (p + i) mod 7 with
+      | 0 -> Sim.delay sim 0
+      | 1 -> Sim.delay sim 10
+      | 2 -> Sim.delay sim (1 + Sim.Schedule.draw schedule ~bound:9)
+      | 3 ->
+          Sim.Mutex_r.with_lock m (fun () ->
+              note p;
+              Sim.delay sim 4)
+      | 4 ->
+          Sim.park ~timeout:(5 + (20 * (p mod 3))) (fun resume ->
+              Queue.push resume parked)
+      | 5 ->
+          Option.iter (fun resume -> resume ()) (Queue.take_opt parked);
+          Sim.delay sim 2
+      | _ ->
+          incr backlog;
+          Sim.Service.wake svc;
+          Sim.delay sim 1);
+      note p;
+      if i = 11 && p mod 4 = 0 then begin
+        incr live;
+        Sim.spawn sim (worker (20 + p) 9)
+      end
+    done;
+    decr live;
+    if !live = 0 then Sim.Service.stop svc
+  in
+  for p = 0 to 11 do
+    incr live;
+    Sim.spawn sim (worker p 24)
+  done;
+  (* A same-time tie: at t=7 process 51's [delay 0] lands behind process
+     50's event, queued earlier for the same instant.  Under Fifo that
+     event runs first, so the delay must not complete in place. *)
+  let ties = ref [] in
+  let tie p = ties := (p, Sim.now sim) :: !ties in
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 7;
+      tie 51;
+      Sim.delay sim 0;
+      tie 51);
+  Sim.spawn sim (fun () ->
+      Sim.delay sim 7;
+      tie 50);
+  List.iter (fun until -> Sim.run ~until sim) [ 15; 40; 41; 90 ];
+  Sim.run sim;
+  ( Digest.to_hex (Digest.string (Buffer.contents log)),
+    Sim.Schedule.decisions schedule,
+    Sim.Schedule.rng_draws schedule,
+    List.rev !ties )
+
+let test_event_order_pinned () =
+  let check name schedule expected =
+    let digest, decisions, draws, ties = event_order_program schedule in
+    Alcotest.(check (triple string int int))
+      (name ^ ": log digest, decisions, rng draws")
+      expected (digest, decisions, draws);
+    ties
+  in
+  Alcotest.(check (list (pair int int)))
+    "fifo: the delay 0 waits behind the same-time event"
+    [ (51, 7); (50, 7); (51, 7) ]
+    (check "fifo" (Sim.Schedule.fifo ())
+       ("f2c6bf75836307111c96c7d42613a1a1", 0, 45));
+  let mk = Sim.Schedule.make ~seed:17 in
+  ignore
+    (check "shuffle"
+       (mk Sim.Schedule.Seeded_shuffle)
+       ("1b7adc14d70ed8faf1ebeeb3989cfa5c", 504, 45));
+  ignore
+    (check "priority" (mk Sim.Schedule.Priority)
+       ("b58795b60f24e5f4b7584921e061952d", 507, 45))
+
+(* The scheduler's allocation budget, as test_mtm holds the commit's: a
+   queued event allocates its continuation and little else, and a delay
+   that nothing else is due before completes in place, allocating
+   nothing.  Sixteen processes in lockstep queue every event. *)
+let test_event_allocation_budget () =
+  let words ~procs ~delays =
+    let sim = Sim.create () in
+    for _ = 1 to procs do
+      Sim.spawn sim (fun () ->
+          for _ = 1 to delays do
+            Sim.delay sim 1
+          done)
+    done;
+    let w0 = Gc.minor_words () in
+    Sim.run sim;
+    Gc.minor_words () -. w0
+  in
+  let n = 10_000 in
+  let per_event =
+    (words ~procs:16 ~delays:n -. words ~procs:16 ~delays:0)
+    /. float_of_int (16 * n)
+  in
+  if per_event > 6. then
+    Alcotest.failf "a queued event allocates %.2f minor words (budget 6)"
+      per_event;
+  let lone = words ~procs:1 ~delays:n -. words ~procs:1 ~delays:0 in
+  if lone <> 0. then
+    Alcotest.failf "a lone process's %d delays allocate %.0f minor words" n
+      lone
+
 (* ------------------------------------------------------------------ *)
 (* Schedule policies, trace save/load, replay divergence *)
 
@@ -431,6 +602,24 @@ let prop_delays_accumulate =
       Sim.run sim;
       Sim.now sim = List.fold_left ( + ) 0 delays)
 
+(* Hundreds of processes queued at once (past the queue's first growth)
+   wake in (time, spawn order) order, each after its own delay. *)
+let prop_wake_order =
+  QCheck.Test.make ~name:"many processes wake in (time, FIFO) order"
+    ~count:20
+    QCheck.(list_of_size Gen.(300 -- 700) (int_bound 50))
+    (fun delays ->
+      let sim = Sim.create () in
+      let woke = ref [] in
+      List.iteri
+        (fun i d ->
+          Sim.spawn sim (fun () ->
+              Sim.delay sim d;
+              woke := (Sim.now sim, i) :: !woke))
+        delays;
+      Sim.run sim;
+      List.rev !woke = List.sort compare (List.mapi (fun i d -> (d, i)) delays))
+
 let () =
   Alcotest.run "sim"
     [
@@ -442,6 +631,14 @@ let () =
           Alcotest.test_case "spawn from process" `Quick
             test_spawn_from_process;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "current_proc reset on every exit" `Quick
+            test_current_proc_reset;
+          Alcotest.test_case "delay outside a process" `Quick
+            test_delay_outside_process;
+          Alcotest.test_case "event order pinned" `Quick
+            test_event_order_pinned;
+          Alcotest.test_case "event allocation budget" `Quick
+            test_event_allocation_budget;
         ] );
       ( "mutex",
         [
@@ -488,5 +685,7 @@ let () =
           Alcotest.test_case "draw bound mismatch falls back" `Quick
             test_draw_bound_mismatch_falls_back;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_delays_accumulate ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_delays_accumulate; prop_wake_order ] );
     ]
