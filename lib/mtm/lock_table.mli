@@ -13,7 +13,13 @@
 
     A handle returned by {!index_of} is the line number modulo the
     table size.  The simulator charges no time for lock metadata, so
-    the table's only tunable is its size. *)
+    the table's only tunable is its size.
+
+    Host memory follows the entries written, not the nominal size: the
+    entries live in chunks of 2^9, each allocated on the first write to
+    one of its entries, behind a 2^(bits-9)-word directory.  Reads of
+    an entry never written see a free entry at version 0 and allocate
+    nothing. *)
 
 type t
 
@@ -31,10 +37,6 @@ val owner : t -> int -> int
 val rts : t -> int -> int
 (** Reader watermark: the largest timestamp a validated reader has
     serialized at against this entry's current version. *)
-
-val held_addr : t -> int -> int
-(** The address the current owner acquired the entry for (0 when
-    unknown); stale once the entry is free. *)
 
 val aliased : t -> int -> addr:int -> bool
 (** Whether the entry's current owner acquired it for a different

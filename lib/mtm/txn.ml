@@ -221,17 +221,6 @@ let stats (pool : pool) =
     contention_failures = pool.contention_failures;
     log_full_stalls = pool.log_full_stalls }
 
-let reset_stats (pool : pool) =
-  pool.commits <- 0;
-  pool.aborts <- 0;
-  pool.ro_commits <- 0;
-  pool.retries <- 0;
-  pool.contention_failures <- 0;
-  pool.log_full_stalls <- 0;
-  pool.backoff_ns <- 0;
-  pool.cm_waits <- 0;
-  Hashtbl.reset pool.abort_lines
-
 let backoff_ns (pool : pool) = pool.backoff_ns
 let cm_waits (pool : pool) = pool.cm_waits
 

@@ -64,7 +64,10 @@ type config = {
   truncation : truncation;
   version_mgmt : version_mgmt;
   lock_bits : int;
-      (** Lock table size = [2^lock_bits * lock_stripes] entries. *)
+      (** Lock table size = [2^lock_bits * lock_stripes] entries.  The
+          size decides which lines alias; host memory follows the
+          entries a run writes ({!Lock_table}), so a large table costs
+          a small directory until it is used. *)
   ts_lease : int;
       (** Commit timestamps leased to a thread per shared-counter
           transaction.  1 (the default) is the original draw-per-commit
@@ -79,8 +82,9 @@ type config = {
   lock_stripes : int;
       (** A power of two (default 1) that multiplies the lock table's
           entry count, pushing index aliasing out.  The simulator
-          charges nothing for lock metadata, so this is the same as a
-          larger [lock_bits]. *)
+          charges nothing for lock metadata, and the host allocates
+          entries on first write, so this is the same as a larger
+          [lock_bits]. *)
   group_commit : bool;
       (** Share one durability fence among pipelined transactions
           retiring in the same drain window.  Requires [pipeline];
@@ -241,14 +245,11 @@ type stats = {
 }
 
 val stats : pool -> stats
-val reset_stats : pool -> unit
-(** Also clears {!backoff_ns}, {!cm_waits} and the per-line abort
-    attribution. *)
 
 val backoff_ns : pool -> int
 (** Total simulated time spent in retry backoff and contention-manager
-    waits (the time actually parked) since the last {!reset_stats} —
-    the benchmark's backoff-time breakdown. *)
+    waits (the time actually parked) since the pool was created — the
+    benchmark's backoff-time breakdown. *)
 
 val cm_waits : pool -> int
 (** Times an older transaction waited on a younger lock owner

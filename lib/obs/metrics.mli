@@ -9,7 +9,9 @@
     into [2^sub_bits] equal sub-buckets, bounding the relative
     quantization error by [2^-sub_bits].  Recording is O(1); count,
     sum, mean, min and max are exact; percentile queries walk the
-    bucket array once — O(buckets), independent of the sample count. *)
+    bucket array once — O(buckets), independent of the sample count.
+    The bucket array is allocated by the first {!record}, so a
+    histogram that never sees a sample costs a few words. *)
 
 type counter
 type gauge
@@ -81,7 +83,6 @@ val percentile : histogram -> float -> int
     [2^sub_bits]; relative error at most [2^-sub_bits] above). *)
 
 val histogram_name : histogram -> string
-val nbuckets : histogram -> int
 val hreset : histogram -> unit
 
 (** {1 Dumping} *)

@@ -117,38 +117,49 @@ let load v addr =
   | Some chk -> Scm.Pmcheck.check_load chk (addr land lnot 7));
   P.load v.env (translate v addr)
 
+let load_nt_resident v ~vpage ~frame addr =
+  (match pmchk v with
+  | None -> ()
+  | Some chk -> Scm.Pmcheck.note_mapping chk ~vpage ~frame);
+  P.load_nt v.env
+    ((frame * Layout.page_size) + (addr land (Layout.page_size - 1)))
+
 (* Non-temporal load: must not fault pages in.  A recovery-time sweep
    over a whole region would otherwise pull every page of the region
    into SCM at attach time — charging page I/O and consuming frames the
    working set never asked for.  A page that is not resident has its
    authoritative copy in the backing file, so read the word from there
-   without installing a frame. *)
+   without installing a frame.  A resident page is resolved once per
+   run of words through the same memo {!translate} keeps. *)
 let load_nt v addr =
   let t = v.pmem in
   if not (Layout.is_persistent addr) then
     invalid_arg (Printf.sprintf "Pmem: %#x is not a persistent address" addr);
   let vpage = Layout.page_of addr in
-  let r = find_region t addr in
-  let page_off = vpage - Layout.page_of r.base in
-  match Manager.frame_of t.mgr ~inode:r.inode ~page_off with
-  | Some frame ->
-      Scm.Imap.Int.set t.vpage_cache vpage frame;
-      (match pmchk v with
-      | None -> ()
-      | Some chk -> Scm.Pmcheck.note_mapping chk ~vpage ~frame);
-      P.load_nt v.env
-        ((frame * Layout.page_size) + (addr land (Layout.page_size - 1)))
-  | None ->
-      let buf =
-        match t.peek_page with
-        | Some (i, p, b) when i = r.inode && p = page_off -> b
-        | _ ->
-            let b = Bytes.create Layout.page_size in
-            Backing_store.read_page t.backing r.inode page_off b;
-            t.peek_page <- Some (r.inode, page_off, b);
-            b
-      in
-      Scm.Word.get buf (addr land (Layout.page_size - 1))
+  if vpage = t.memo_vpage then
+    load_nt_resident v ~vpage ~frame:t.memo_frame addr
+  else begin
+    let r = find_region t addr in
+    let page_off = vpage - Layout.page_of r.base in
+    match Manager.frame_of t.mgr ~inode:r.inode ~page_off with
+    | Some frame ->
+        Scm.Imap.Int.set t.vpage_cache vpage frame;
+        t.memo_vpage <- vpage;
+        t.memo_frame <- frame;
+        load_nt_resident v ~vpage ~frame addr
+    | None ->
+        let buf =
+          match t.peek_page with
+          | Some (i, p, b) when i = r.inode && p = page_off -> b
+          | _ ->
+              let b = Bytes.create Layout.page_size in
+              Backing_store.read_page t.backing r.inode page_off b;
+              t.peek_page <- Some (r.inode, page_off, b);
+              b
+        in
+        Scm.Word.get buf (addr land (Layout.page_size - 1))
+  end
+
 let store v addr x =
   (match pmchk v with
   | None -> ()

@@ -1,9 +1,9 @@
 (* Array-backed, open-addressed cache: the per-word load/store fast
    path is a handful of array reads with zero allocation.  Lines live
    in a linear-probing table (power-of-two size >= 2x capacity, so the
-   load factor stays under 1/2) whose entries own preallocated
-   [line_size] buffers; deletion is backward-shift, so there are no
-   tombstones and probes stay short.
+   load factor stays under 1/2) whose entries own [line_size] buffers,
+   each allocated the first time its slot holds a line; deletion is
+   backward-shift, so there are no tombstones and probes stay short.
 
    Eviction semantics are pinned: the victim is drawn uniformly from a
    dense insertion-ordered array of resident line addresses
@@ -20,7 +20,7 @@ type t = {
   capacity : int;
   mask : int;  (* table size - 1; table size is a power of two *)
   keys : int array;  (* line base address, or -1 for an empty slot *)
-  data : Bytes.t array;  (* preallocated line buffers, one per slot *)
+  data : Bytes.t array;  (* line buffers, one per slot; empty until used *)
   dirty : bool array;
   mslot : int array;  (* index of this entry's base in [members] *)
   rng : Random.State.t;
@@ -60,7 +60,7 @@ let create ?(line_size = 64) ?(capacity_lines = 8192) ?(seed = 0xcafe) ?obs
       capacity = capacity_lines;
       mask = size - 1;
       keys = Array.make size (-1);
-      data = Array.init size (fun _ -> Bytes.create line_size);
+      data = Array.make size Bytes.empty;
       dirty = Array.make size false;
       mslot = Array.make size 0;
       rng = Random.State.make [| seed |];
@@ -125,8 +125,8 @@ let member_remove t slot =
 
 (* Backward-shift deletion: walk the cluster after [slot], moving back
    any entry whose home position does not lie cyclically inside
-   (hole, entry].  Buffers are swapped, not copied, so every slot keeps
-   owning a spare line buffer. *)
+   (hole, entry].  Buffers are swapped, not copied, so a line keeps its
+   buffer and a freed slot keeps whatever buffer it last held. *)
 let table_delete t slot =
   let mask = t.mask in
   let hole = ref slot in
@@ -195,6 +195,8 @@ let get_line t base =
     t.keys.(slot) <- base;
     t.dirty.(slot) <- false;
     t.owner.(slot) <- 0;
+    if Bytes.length t.data.(slot) = 0 then
+      t.data.(slot) <- Bytes.create t.line_size;
     Scm_device.read_into t.dev base t.data.(slot) 0 t.line_size;
     member_add t base slot;
     slot

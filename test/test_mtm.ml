@@ -900,6 +900,170 @@ let test_false_conflict_counter () =
         (Obs.Metrics.counter_value fc > 0))
 
 (* ------------------------------------------------------------------ *)
+(* Lock table storage: chunks allocated on first write *)
+
+(* The reference model: the flat layout, one array per field with every
+   entry allocated up front. *)
+module Flat_locks = struct
+  type t = {
+    versions : int array;
+    owners : int array;
+    addrs : int array;
+    rts : int array;
+  }
+
+  let create bits =
+    let n = 1 lsl bits in
+    {
+      versions = Array.make n 0;
+      owners = Array.make n (-1);
+      addrs = Array.make n 0;
+      rts = Array.make n 0;
+    }
+
+  let try_acquire t h ~owner ~addr =
+    if t.owners.(h) = -1 then begin
+      t.owners.(h) <- owner;
+      t.addrs.(h) <- addr;
+      true
+    end
+    else t.owners.(h) = owner
+
+  let release t h = t.owners.(h) <- -1
+
+  let release_versioned t h ~version =
+    t.versions.(h) <- version;
+    t.owners.(h) <- -1
+
+  let bump_rts t h v = if t.rts.(h) < v then t.rts.(h) <- v
+
+  let aliased t h ~addr =
+    let held = t.addrs.(h) in
+    held <> 0 && held <> addr
+end
+
+type lock_op =
+  | Acquire of int * int * int  (* handle, owner, addr *)
+  | Release of int
+  | Release_versioned of int * int
+  | Bump_rts of int * int
+  | Read of int * int  (* handle, addr for [aliased] *)
+
+let show_lock_op = function
+  | Acquire (h, o, a) -> Printf.sprintf "acquire %d o%d @%d" h o a
+  | Release h -> Printf.sprintf "release %d" h
+  | Release_versioned (h, v) -> Printf.sprintf "release %d v%d" h v
+  | Bump_rts (h, v) -> Printf.sprintf "bump_rts %d %d" h v
+  | Read (h, a) -> Printf.sprintf "read %d @%d" h a
+
+(* Handles are masked to the table size when applied.  Most sit on
+   either side of a 512-entry chunk boundary (k * 512 - 2 .. k * 512 + 1,
+   wrapping to the top of the table for k = 0); the rest are uniform. *)
+let gen_lock_op =
+  let open QCheck.Gen in
+  let handle =
+    frequency
+      [
+        (3, map2 (fun k d -> (k * 512) + d) (int_range 0 4) (int_range (-2) 1));
+        (1, int_bound ((1 lsl 21) - 1));
+      ]
+  in
+  let addr = oneofl [ 0; 8; 64; 4096 ] in
+  frequency
+    [
+      (3, map3 (fun h o a -> Acquire (h, o, a)) handle (int_bound 3) addr);
+      (1, map (fun h -> Release h) handle);
+      (2, map2 (fun h v -> Release_versioned (h, v)) handle (int_bound 1000));
+      (2, map2 (fun h v -> Bump_rts (h, v)) handle (int_range (-1) 1000));
+      (2, map2 (fun h a -> Read (h, a)) handle addr);
+    ]
+
+(* The chunked table against the flat model over one random sequence:
+   after every operation the entry it touched and both neighbours
+   (across a chunk boundary when the handle sits on one, and into
+   chunks never written) read the same through [version], [owner],
+   [rts] and [aliased]; a small table is compared whole at the end. *)
+let prop_lock_table_matches_flat =
+  QCheck.Test.make ~name:"chunked lock table matches the flat layout"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (bits, ops) ->
+         Printf.sprintf "bits %d: %s" bits
+           (String.concat "; " (List.map show_lock_op ops)))
+       QCheck.Gen.(
+         pair (oneofl [ 4; 9; 10; 21 ]) (list_size (1 -- 60) gen_lock_op)))
+    (fun (bits, ops) ->
+      let t = Mtm.Lock_table.create ~bits () in
+      let m = Flat_locks.create bits in
+      let mask = (1 lsl bits) - 1 in
+      let agree h addr =
+        let h = h land mask in
+        Mtm.Lock_table.version t h = m.versions.(h)
+        && Mtm.Lock_table.owner t h = m.owners.(h)
+        && Mtm.Lock_table.rts t h = m.rts.(h)
+        && Mtm.Lock_table.aliased t h ~addr = Flat_locks.aliased m h ~addr
+      in
+      let step op =
+        let h, addr =
+          match op with
+          | Acquire (h, o, addr) ->
+              let h = h land mask in
+              if
+                Mtm.Lock_table.try_acquire t h ~owner:o ~addr
+                <> Flat_locks.try_acquire m h ~owner:o ~addr
+              then QCheck.Test.fail_reportf "try_acquire %d disagrees" h;
+              (h, addr)
+          | Release h ->
+              let h = h land mask in
+              Mtm.Lock_table.release t h;
+              Flat_locks.release m h;
+              (h, 0)
+          | Release_versioned (h, version) ->
+              let h = h land mask in
+              Mtm.Lock_table.release_versioned t h ~version;
+              Flat_locks.release_versioned m h ~version;
+              (h, 0)
+          | Bump_rts (h, v) ->
+              let h = h land mask in
+              Mtm.Lock_table.bump_rts t h v;
+              Flat_locks.bump_rts m h v;
+              (h, 0)
+          | Read (h, addr) -> (h land mask, addr)
+        in
+        List.for_all (fun h -> agree h addr) [ h - 1; h; h + 1 ]
+      in
+      List.for_all step ops
+      && Mtm.Lock_table.entries t = mask + 1
+      && (bits > 10
+         || List.for_all (fun h -> agree h 8) (List.init (mask + 1) Fun.id)))
+
+(* Host memory follows the entries written.  A 2^21-entry table (the
+   size [Serve] and the commit benchmarks use) that locks a slab of 8
+   adjacent lines costs its directory and one chunk; the flat layout
+   allocated four 2^21-word arrays (64 MiB) up front. *)
+let test_lock_table_first_touch_budget () =
+  let major_bytes () =
+    (Gc.quick_stat ()).Gc.major_words *. float_of_int (Sys.word_size / 8)
+  in
+  let before = major_bytes () in
+  let t = Mtm.Lock_table.create ~bits:21 () in
+  (* lines 0..7 of one chunk *)
+  let slab = 0x1000_0000 in
+  for j = 0 to 7 do
+    let h = Mtm.Lock_table.index_of t (slab + (64 * j)) in
+    if not (Mtm.Lock_table.try_acquire t h ~owner:0 ~addr:(slab + (64 * j)))
+    then Alcotest.failf "line %d: a fresh entry refused its first owner" j;
+    Mtm.Lock_table.release_versioned t h ~version:1
+  done;
+  let grown = major_bytes () -. before in
+  ignore (Sys.opaque_identity t);
+  if grown > 65536.0 then
+    Alcotest.failf
+      "a 2^21-entry table locking 8 lines grew the major heap by %.0f bytes \
+       (budget 64 KiB)"
+      grown
+
+(* ------------------------------------------------------------------ *)
 (* Pipelined commit *)
 
 (* Leases + stripes + group commit survive a crash with write-backs
@@ -1348,6 +1512,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_lock_acquire_reentrant;
           QCheck_alcotest.to_alcotest prop_lock_release_versioned;
           QCheck_alcotest.to_alcotest prop_lock_table_geometry;
+          QCheck_alcotest.to_alcotest prop_lock_table_matches_flat;
+          Alcotest.test_case "first-touch memory budget" `Quick
+            test_lock_table_first_touch_budget;
           Alcotest.test_case "false conflict counter" `Quick
             test_false_conflict_counter;
         ] );

@@ -74,6 +74,49 @@ let test_counters () =
       names := Obs.Metrics.counter_name c :: !names);
   Alcotest.(check (list string)) "registry" [ "a.b" ] !names
 
+(* A histogram allocates its buckets on the first sample.  One made and
+   never recorded into costs its record, not 28,160 bucket words, and
+   prints what an empty histogram always printed; after a reset it
+   prints that again. *)
+let test_unrecorded_histogram () =
+  let m = Obs.Metrics.create () in
+  let a0 = Gc.allocated_bytes () in
+  let a1 = Gc.allocated_bytes () in
+  let h = Obs.Metrics.histogram m "mtm.commit.total_ns" in
+  let a2 = Gc.allocated_bytes () in
+  (* less the cost of reading the counter itself *)
+  let words = (a2 -. a1 -. (a1 -. a0)) /. float_of_int (Sys.word_size / 8) in
+  if words > 64.0 then
+    Alcotest.failf "an unrecorded histogram allocated %.0f words (budget 64)"
+      words;
+  let dump =
+    "mtm.commit.total_ns                  n=0        mean=0.0        "
+    ^ "min=0        p50=0        p99=0        max=0\n"
+  in
+  let json =
+    String.concat "\n"
+      [
+        "{";
+        "  \"counters\": {},";
+        "  \"gauges\": {},";
+        "  \"histograms\": {";
+        "    \"mtm.commit.total_ns\": {\"count\": 0, \"sum\": 0, \"min\": 0, \
+         \"max\": 0, \"mean\": 0, \"p50\": 0, \"p90\": 0, \"p99\": 0, \
+         \"p999\": 0}";
+        "  }";
+        "}";
+        "";
+      ]
+  in
+  Alcotest.(check string) "dump before a sample" dump (Obs.Metrics.dump m);
+  Alcotest.(check string) "json before a sample" json (Obs.Metrics.to_json m);
+  Alcotest.(check int) "p99 before a sample" 0 (Obs.Metrics.percentile h 99.0);
+  Obs.Metrics.record h 700;
+  Alcotest.(check int) "p50 of one sample" 700 (Obs.Metrics.percentile h 50.0);
+  Obs.Metrics.hreset h;
+  Alcotest.(check string) "dump after a reset" dump (Obs.Metrics.dump m);
+  Alcotest.(check string) "json after a reset" json (Obs.Metrics.to_json m)
+
 (* ------------------------------------------------------------------ *)
 (* Chrome JSON round-trip, via a minimal JSON parser *)
 
@@ -823,6 +866,8 @@ let () =
           Alcotest.test_case "small values exact" `Quick
             test_histogram_small_exact;
           Alcotest.test_case "counters" `Quick test_counters;
+          Alcotest.test_case "unrecorded histogram" `Quick
+            test_unrecorded_histogram;
           Alcotest.test_case "snapshot and json export" `Quick
             test_snapshot_json;
         ] );
