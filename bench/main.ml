@@ -185,16 +185,6 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
-(* --sched-policy/--sched-seed: run the whole harness under a non-Fifo
-   same-time tiebreak (see Sim.Schedule) to check the figures are not
-   artifacts of one particular interleaving.  Fifo is the default and
-   keeps every section bit-identical to the historical scheduler. *)
-let sched_policy = ref Sim.Schedule.Fifo
-let sched_seed = ref 0
-
-let bench_sim () =
-  Sim.create ~schedule:(Sim.Schedule.make ~seed:!sched_seed !sched_policy) ()
-
 let sim_env sim (m : Scm.Env.machine) =
   Scm.Env.view m ~delay:(fun ns -> Sim.delay sim ns)
     ~now:(fun () -> Sim.now sim)
@@ -236,7 +226,7 @@ let run_mtm_hashtable ?(latency = Scm.Latency_model.default) ~threads
   let dir = fresh_dir "ht-mtm" in
   let inst = Mnemosyne.open_instance ~geometry ~latency ~dir () in
   let machine = Mnemosyne.machine inst in
-  let sim = bench_sim () in
+  let sim = Sim.create () in
   let heap_mu = Sim.Mutex_r.create sim in
   Pmheap.Heap.set_exclusion (Mnemosyne.heap inst) (fun f ->
       Sim.Mutex_r.with_lock heap_mu f);
@@ -286,7 +276,7 @@ let run_mtm_hashtable ?(latency = Scm.Latency_model.default) ~threads
 let run_bdb_hashtable ?(latency = Scm.Latency_model.default) ~threads
     ~value_bytes ~ops_per_thread () =
   let disk = Baseline.Pcm_disk.create ~latency ~nblocks:4096 () in
-  let sim = bench_sim () in
+  let sim = Sim.create () in
   let bdb = Baseline.Bdb.create ~sim ~cache_pages:512 disk in
   let machine = Scm.Env.make_machine ~latency ~nframes:16 () in
   let wlat = latencies () in
@@ -426,7 +416,7 @@ let figure7 () =
 let run_ldap backend_name =
   let threads = 4 and adds_per_thread = 250 in
   let dir = fresh_dir "ldap" in
-  let sim = bench_sim () in
+  let sim = Sim.create () in
   let latency = Scm.Latency_model.default in
   let server, machine, cleanup =
     match backend_name with
@@ -470,7 +460,7 @@ let run_ldap backend_name =
 let run_tc ?(threads = 1) ?request_ns backend_name ~value_bytes =
   let ops = 400 / threads in
   let dir = fresh_dir "tc" in
-  let sim = bench_sim () in
+  let sim = Sim.create () in
   let store, machine, cleanup =
     match backend_name with
     | `Msync ->
@@ -709,7 +699,7 @@ let run_truncation_mode ~mode ~value_bytes ~idle_pct =
   in
   let inst = Mnemosyne.open_instance ~geometry ~mtm ~dir () in
   let machine = Mnemosyne.machine inst in
-  let sim = bench_sim () in
+  let sim = Sim.create () in
   let heap_mu = Sim.Mutex_r.create sim in
   Pmheap.Heap.set_exclusion (Mnemosyne.heap inst) (fun f ->
       Sim.Mutex_r.with_lock heap_mu f);
@@ -1406,7 +1396,7 @@ type scale_result = {
 
 let run_scale ~threads ~mode ~contended =
   let dir = fresh_dir "scale" in
-  let sim = bench_sim () in
+  let sim = Sim.create () in
   let inst =
     Mnemosyne.open_instance ~geometry ~mtm:(scale_cfg ~threads ~mode) ~dir ()
   in
@@ -1485,12 +1475,12 @@ let run_scale ~threads ~mode ~contended =
             !published
           end
         in
-        (* Round up to a 64-byte line so thread windows share no cache
-           line: one lock covers one line, and a boundary line shared
-           by two windows would couple "disjoint" threads through that
-           lock (conflicts, and version floors from the neighbour's
-           lease window). *)
-        let base = (base + 63) land lnot 63 in
+        (* Round up to a cache line so thread windows share no line:
+           one lock covers one line, and a boundary line shared by two
+           windows would couple "disjoint" threads through that lock
+           (conflicts, and version floors from the neighbour's lease
+           window). *)
+        let base = Scm.Cache.line_base (base + Scm.Cache.line_size - 1) in
         let data = if contended then base else base + (8 * nslots * i) in
         for k = 1 to scale_txns do
           with_retry (fun tx ->
@@ -1664,7 +1654,7 @@ let serve_base_cfg =
 let run_serve name admission =
   let dir = fresh_dir ("serve-" ^ name) in
   let st =
-    Serve.run ~sim:(bench_sim ()) ~geometry ~dir
+    Serve.run ~sim:(Sim.create ()) ~geometry ~dir
       { serve_base_cfg with admission }
   in
   rm_rf dir;
@@ -1898,28 +1888,6 @@ let () =
         parse rest
     | "--metrics-json" :: _ ->
         prerr_endline "bench: --metrics-json requires a FILE argument";
-        exit 2
-    | "--sched-policy" :: p :: rest -> (
-        match Sim.Schedule.policy_of_string p with
-        | Ok policy ->
-            sched_policy := policy;
-            parse rest
-        | Error msg ->
-            Printf.eprintf "bench: %s\n" msg;
-            exit 2)
-    | "--sched-policy" :: [] ->
-        prerr_endline "bench: --sched-policy requires fifo|shuffle|priority";
-        exit 2
-    | "--sched-seed" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some s ->
-            sched_seed := s;
-            parse rest
-        | None ->
-            prerr_endline "bench: --sched-seed requires an integer";
-            exit 2)
-    | "--sched-seed" :: [] ->
-        prerr_endline "bench: --sched-seed requires an integer";
         exit 2
     | a :: rest -> a :: parse rest
   in

@@ -101,8 +101,8 @@ let run_stats dir json =
     let occ = Pmheap.Heap.occupancy (Mnemosyne.heap inst) in
     let logs = Mtm.Txn.log_usage (Mnemosyne.pool inst) in
     (* Serving tenants: any pstatic root named "serve.tenant.NN" (the
-       layout contract in Serve.tenant_root) is a per-tenant B+ tree;
-       attach each read-only and count keys — per-tenant region
+       layout contract in Serve.tenant_root_prefix) is a per-tenant B+
+       tree; attach each read-only and count keys — per-tenant region
        occupancy without the serving front-end running. *)
     let tenants =
       let acc = ref [] in

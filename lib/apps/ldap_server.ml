@@ -22,11 +22,10 @@ type bdb_state = {
 
 type backend = Bdb_like of bdb_state | Mnemo of mnemo_state
 
-type t = {
-  backend : backend;
-  frontend_ns : int;
-  nindexes : int;
-}
+type t = { backend : backend; frontend_ns : int }
+
+(* Indexes a BDB-backed add writes: dn2id, id2entry and attributes. *)
+let nindexes = 8
 
 type worker = {
   server : t;
@@ -40,7 +39,7 @@ let kind t =
   | Bdb_like _ -> Back_ldbm
   | Mnemo _ -> Back_mnemosyne
 
-let create_bdb ?sim ?(frontend_ns = 540_000) ?(nindexes = 8) disk =
+let create_bdb ?sim ?(frontend_ns = 540_000) disk =
   {
     backend =
       Bdb_like
@@ -52,11 +51,9 @@ let create_bdb ?sim ?(frontend_ns = 540_000) ?(nindexes = 8) disk =
           ops = 0;
         };
     frontend_ns;
-    nindexes;
   }
 
-let create_ldbm ?sim ?(frontend_ns = 540_000) ?(nindexes = 8)
-    ?(flush_every = 32) disk =
+let create_ldbm ?sim ?(frontend_ns = 540_000) ?(flush_every = 32) disk =
   {
     backend =
       Bdb_like
@@ -68,13 +65,12 @@ let create_ldbm ?sim ?(frontend_ns = 540_000) ?(nindexes = 8)
           ops = 0;
         };
     frontend_ns;
-    nindexes;
   }
 
 let version_slot_name = "ldap.attr.version"
 let cache_slot_name = "ldap.cache"
 
-let create_mnemosyne ?(frontend_ns = 540_000) ?(nindexes = 8) inst =
+let create_mnemosyne ?(frontend_ns = 540_000) inst =
   (* Bump the persistent session version: volatile attribute pointers
      recorded under older versions are stale from now on. *)
   let vslot = Mnemosyne.pstatic inst version_slot_name 8 in
@@ -91,7 +87,6 @@ let create_mnemosyne ?(frontend_ns = 540_000) ?(nindexes = 8) inst =
     backend =
       Mnemo { inst; cache_slot; session_version = session; stale = 0 };
     frontend_ns;
-    nindexes;
   }
 
 let worker t i env =
@@ -138,14 +133,14 @@ let add_entry w ~dn ~attr_id ~payload =
   | Bdb_like s ->
       (* One write per index; the last one carries the commit in the
          transactional backend. *)
-      for i = 0 to t.nindexes - 2 do
+      for i = 0 to nindexes - 2 do
         Baseline.Bdb.put_nosync s.store w.env (index_key i dn) payload
       done;
       if s.transactional then
-        Baseline.Bdb.put s.store w.env (index_key (t.nindexes - 1) dn) payload
+        Baseline.Bdb.put s.store w.env (index_key (nindexes - 1) dn) payload
       else begin
         Baseline.Bdb.put_nosync s.store w.env
-          (index_key (t.nindexes - 1) dn)
+          (index_key (nindexes - 1) dn)
           payload;
         s.ops <- s.ops + 1;
         if s.ops mod s.flush_every = 0 then

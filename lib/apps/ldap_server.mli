@@ -13,7 +13,7 @@
     Every request charges the front-end cost (decoding, ACLs, DN
     normalization, response encoding) that dominates LDAP service time;
     an add then runs the backend update, which for BDB means one write
-    per index (dn2id, id2entry, attribute indexes) inside one
+    per index (dn2id, id2entry, attribute indexes: 8 in all) inside one
     transaction.
 
     The back-mnemosyne entries also demonstrate the paper's
@@ -28,23 +28,16 @@ type backend_kind = Back_bdb | Back_ldbm | Back_mnemosyne
 
 val kind : t -> backend_kind
 
-val create_bdb :
-  ?sim:Sim.t ->
-  ?frontend_ns:int ->
-  ?nindexes:int ->
-  Baseline.Pcm_disk.t ->
-  t
+val create_bdb : ?sim:Sim.t -> ?frontend_ns:int -> Baseline.Pcm_disk.t -> t
 
 val create_ldbm :
   ?sim:Sim.t ->
   ?frontend_ns:int ->
-  ?nindexes:int ->
   ?flush_every:int ->
   Baseline.Pcm_disk.t ->
   t
 
-val create_mnemosyne :
-  ?frontend_ns:int -> ?nindexes:int -> Mnemosyne.t -> t
+val create_mnemosyne : ?frontend_ns:int -> Mnemosyne.t -> t
 (** The persistent AVL entry cache is rooted at the [pstatic]
     "ldap.cache"; reopening the same instance finds the directory
     again. *)

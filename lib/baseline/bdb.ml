@@ -9,7 +9,6 @@ type t = {
   wal : Wal.t;
   cache : Page_cache.t;
   op_overhead_ns : int;
-  checkpoint_every : int;
   data_pages : int;
   contents : (string, string) Hashtbl.t;
   mutable ops : int;
@@ -17,22 +16,22 @@ type t = {
 
 let log_blocks = 256
 
-let create ?sim ?(cache_pages = 256) ?(op_overhead_ns = 9000)
-    ?(serial_ns = 16000) ?(checkpoint_every = 64) disk =
+(* Commits between checkpoint slices. *)
+let checkpoint_every = 64
+
+let create ?sim ?(cache_pages = 256) ?(op_overhead_ns = 9000) disk =
   let nblocks = Pcm_disk.nblocks disk in
   if nblocks <= log_blocks + 16 then invalid_arg "Bdb.create: disk too small";
   {
     disk;
-    wal = Wal.create ?sim ~serial_ns disk ~start_block:0 ~blocks:log_blocks;
+    wal = Wal.create ?sim disk ~start_block:0 ~blocks:log_blocks;
     cache = Page_cache.create disk ~capacity_pages:cache_pages;
     op_overhead_ns;
-    checkpoint_every;
     data_pages = nblocks - log_blocks;
     contents = Hashtbl.create 1024;
     ops = 0;
   }
 
-let wal t = t.wal
 let length t = Hashtbl.length t.contents
 
 let hash_page t key =
@@ -51,7 +50,7 @@ let touch_data_page t env key value =
 
 let maybe_checkpoint t env =
   t.ops <- t.ops + 1;
-  if t.ops mod t.checkpoint_every = 0 then
+  if t.ops mod checkpoint_every = 0 then
     ignore (Page_cache.flush_some t.cache env ~max:8)
 
 let put t env key value =

@@ -23,14 +23,10 @@ val create :
   ?sim:Sim.t ->
   ?cache_pages:int ->
   ?op_overhead_ns:int ->
-  ?serial_ns:int ->
-  ?checkpoint_every:int ->
   Pcm_disk.t ->
   t
 (** [op_overhead_ns] is the parallel per-operation software path
-    (default 9000 ns); [serial_ns] the in-log-mutex cost (see {!Wal});
-    [checkpoint_every] how many commits between checkpoint slices
-    (default 64). *)
+    (default 9000 ns).  A checkpoint slice runs every 64 commits. *)
 
 val put : t -> Scm.Env.t -> Bytes.t -> Bytes.t -> unit
 val get : t -> Scm.Env.t -> Bytes.t -> Bytes.t option
@@ -44,5 +40,3 @@ val put_nosync : t -> Scm.Env.t -> Bytes.t -> Bytes.t -> unit
 
 val flush_dirty : t -> Scm.Env.t -> ?max:int -> unit -> unit
 (** The periodic flush back-ldbm relies on. *)
-
-val wal : t -> Wal.t

@@ -1,42 +1,29 @@
+(* Metadata/leaf pages dirtied per update, bytes of value per further
+   dirty page (mmap write amplification), ns per synced page. *)
+let base_pages_per_update = 2
+let bytes_per_extra_page = 34
+let page_sync_ns = 12000
+
 type t = {
   disk : Pcm_disk.t;
-  base_pages_per_update : int;
-  bytes_per_extra_page : int;
-  page_sync_ns : int;
   contents : (string, string) Hashtbl.t;
   mu : Sim.Mutex_r.t option;  (* the kernel's mmap write-back lock *)
-  mutable pages_synced : int;
-  mutable torn_window : int;
 }
 
-let create ?sim ?(base_pages_per_update = 2) ?(bytes_per_extra_page = 34)
-    ?(page_sync_ns = 12000) disk =
+let create ?sim disk =
   {
     disk;
-    base_pages_per_update;
-    bytes_per_extra_page;
-    page_sync_ns;
     contents = Hashtbl.create 1024;
     mu = Option.map Sim.Mutex_r.create sim;
-    pages_synced = 0;
-    torn_window = 0;
   }
 
 let length t = Hashtbl.length t.contents
-let pages_synced t = t.pages_synced
-let torn_window_pages t = t.torn_window
 
 let msync_update t (env : Scm.Env.t) value_bytes =
-  let pages =
-    t.base_pages_per_update + (value_bytes / t.bytes_per_extra_page)
-  in
-  (* Multi-page msync is not atomic: a failure mid-flush tears the
-     file.  Track the exposure window the paper warns about. *)
-  t.torn_window <- max 0 (pages - 1);
-  t.pages_synced <- t.pages_synced + pages;
+  let pages = base_pages_per_update + (value_bytes / bytes_per_extra_page) in
   let work () =
     env.delay
-      (pages * t.page_sync_ns
+      (pages * page_sync_ns
       + Scm.Latency_model.streaming_write_ns (Pcm_disk.latency_model t.disk)
           (pages * Pcm_disk.block_bytes))
   in

@@ -10,24 +10,16 @@
     the touched leaf plus tree metadata, and the mmap write-back path
     exhibits heavy write amplification (whole pages rewritten for small
     logical changes, allocation and reorganization traffic as values
-    grow).  The defaults reproduce the paper's measured TC-on-PCM-disk
-    throughput shape; [msync] also cannot be torn-write safe, which the
-    paper calls out — we expose that as {!torn_window_pages}. *)
+    grow).  The constants reproduce the paper's measured TC-on-PCM-disk
+    throughput shape: 2 metadata/leaf pages per update, one further
+    dirty page per 34 bytes of value (mmap write amplification), and
+    12000 ns per synced page (write-back + filesystem path + media). *)
 
 type t
 
-val create :
-  ?sim:Sim.t ->
-  ?base_pages_per_update:int ->
-  ?bytes_per_extra_page:int ->
-  ?page_sync_ns:int ->
-  Pcm_disk.t ->
-  t
-(** Defaults: 2 metadata/leaf pages per update, one further dirty page
-    per 34 bytes of value (mmap write amplification), 12000 ns per
-    synced page (write-back + filesystem path + media).  With a
-    simulator handle, concurrent [msync]s serialize under the kernel's
-    write-back lock (multi-threaded use). *)
+val create : ?sim:Sim.t -> Pcm_disk.t -> t
+(** With a simulator handle, concurrent [msync]s serialize under the
+    kernel's write-back lock (multi-threaded use). *)
 
 val put : t -> Scm.Env.t -> Bytes.t -> Bytes.t -> unit
 (** Update and [msync]: durable on return. *)
@@ -35,8 +27,3 @@ val put : t -> Scm.Env.t -> Bytes.t -> Bytes.t -> unit
 val get : t -> Scm.Env.t -> Bytes.t -> Bytes.t option
 val delete : t -> Scm.Env.t -> Bytes.t -> bool
 val length : t -> int
-
-val pages_synced : t -> int
-val torn_window_pages : t -> int
-(** Pages that were mid-write at the most recent sync — the torn-write
-    exposure the paper notes msync suffers from. *)

@@ -5,7 +5,6 @@ type t = {
   capacity : int;
   table : (int, entry) Hashtbl.t;
   mutable clock : int;
-  mutable misses : int;
 }
 
 let create disk ~capacity_pages =
@@ -14,7 +13,6 @@ let create disk ~capacity_pages =
     capacity = capacity_pages;
     table = Hashtbl.create (2 * capacity_pages);
     clock = 0;
-    misses = 0;
   }
 
 let lru_victim t =
@@ -39,7 +37,6 @@ let get t env page =
       e.stamp <- t.clock;
       e.data
   | None ->
-      t.misses <- t.misses + 1;
       if Hashtbl.length t.table >= t.capacity then evict_one t env;
       let data = Pcm_disk.read_block t.disk env page in
       Hashtbl.replace t.table page { data; dirty = false; stamp = t.clock };
@@ -50,11 +47,7 @@ let mark_dirty t page =
   | Some e -> e.dirty <- true
   | None -> invalid_arg "Page_cache.mark_dirty: page not resident"
 
-let dirty_count t =
-  Hashtbl.fold (fun _ e acc -> if e.dirty then acc + 1 else acc) t.table 0
-
 let resident t = Hashtbl.length t.table
-let misses t = t.misses
 
 let flush_some t env ~max =
   let written = ref 0 in
@@ -70,12 +63,3 @@ let flush_some t env ~max =
        t.table
    with Exit -> ());
   !written
-
-let flush_all t env =
-  Hashtbl.iter
-    (fun page e ->
-      if e.dirty then begin
-        Pcm_disk.write_block t.disk env page e.data;
-        e.dirty <- false
-      end)
-    t.table

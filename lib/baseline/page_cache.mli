@@ -11,13 +11,8 @@ val get : t -> Scm.Env.t -> int -> Bytes.t
     written back on eviction). *)
 
 val mark_dirty : t -> int -> unit
-
-val dirty_count : t -> int
 val resident : t -> int
-val misses : t -> int
 
 val flush_some : t -> Scm.Env.t -> max:int -> int
 (** Write back up to [max] dirty pages (checkpoint slice); returns how
     many were written. *)
-
-val flush_all : t -> Scm.Env.t -> unit

@@ -1,30 +1,26 @@
 let block_bytes = 4096
 
+(* The per-request kernel path: block layer + ext2. *)
+let software_ns = 2500
+
 type t = {
-  mutable latency : Scm.Latency_model.t;
-  software_ns : int;
+  latency : Scm.Latency_model.t;
   nblocks : int;
   data : Bytes.t;
   mutable blocks_written : int;
-  mutable bytes_written : int;
 }
 
-let create ?(latency = Scm.Latency_model.default) ?(software_ns = 2500)
-    ~nblocks () =
+let create ?(latency = Scm.Latency_model.default) ~nblocks () =
   {
     latency;
-    software_ns;
     nblocks;
     data = Bytes.make (nblocks * block_bytes) '\000';
     blocks_written = 0;
-    bytes_written = 0;
   }
 
 let nblocks t = t.nblocks
 let latency_model t = t.latency
-let set_latency t latency = t.latency <- latency
 let blocks_written t = t.blocks_written
-let bytes_written t = t.bytes_written
 
 let check t block count =
   if block < 0 || block + count > t.nblocks then
@@ -32,11 +28,11 @@ let check t block count =
 
 let read_block t (env : Scm.Env.t) block =
   check t block 1;
-  env.delay (t.software_ns / 2);
+  env.delay (software_ns / 2);
   Bytes.sub t.data (block * block_bytes) block_bytes
 
 let write_cost_ns t bytes =
-  t.software_ns + Scm.Latency_model.streaming_write_ns t.latency bytes
+  software_ns + Scm.Latency_model.streaming_write_ns t.latency bytes
 
 let write_block t (env : Scm.Env.t) block buf =
   check t block 1;
@@ -44,7 +40,6 @@ let write_block t (env : Scm.Env.t) block buf =
     invalid_arg "Pcm_disk.write_block: buffer size";
   Bytes.blit buf 0 t.data (block * block_bytes) block_bytes;
   t.blocks_written <- t.blocks_written + 1;
-  t.bytes_written <- t.bytes_written + block_bytes;
   env.delay (write_cost_ns t block_bytes)
 
 let write_blocks t (env : Scm.Env.t) block buf =
@@ -53,7 +48,4 @@ let write_blocks t (env : Scm.Env.t) block buf =
   check t block count;
   Bytes.blit buf 0 t.data (block * block_bytes) len;
   t.blocks_written <- t.blocks_written + count;
-  t.bytes_written <- t.bytes_written + len;
   env.delay (write_cost_ns t len)
-
-let fsync t (env : Scm.Env.t) = env.delay t.software_ns

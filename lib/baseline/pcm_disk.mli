@@ -17,15 +17,12 @@ type t
 val block_bytes : int
 (** 4096. *)
 
-val create : ?latency:Scm.Latency_model.t -> ?software_ns:int -> nblocks:int -> unit -> t
-(** [software_ns] is the per-request kernel path (block layer + ext2),
-    default 2500 ns. *)
+val create : ?latency:Scm.Latency_model.t -> nblocks:int -> unit -> t
+(** Each request also charges the kernel path (block layer + ext2):
+    2500 ns per write, half that per read. *)
 
 val nblocks : t -> int
 val latency_model : t -> Scm.Latency_model.t
-
-val set_latency : t -> Scm.Latency_model.t -> unit
-(** Swap the media model (the figure-7 sensitivity sweep). *)
 
 val read_block : t -> Scm.Env.t -> int -> Bytes.t
 val write_block : t -> Scm.Env.t -> int -> Bytes.t -> unit
@@ -38,8 +35,4 @@ val write_cost_ns : t -> int -> int
 (** Modeled cost of writing that many bytes sequentially (exposed for
     analytical checks in tests). *)
 
-val fsync : t -> Scm.Env.t -> unit
-(** Barrier; writes are through, so this only charges the syscall. *)
-
 val blocks_written : t -> int
-val bytes_written : t -> int

@@ -24,8 +24,10 @@ let decode bytes =
       pos := !pos + len;
       (k, v))
 
-let serialize ?(cpu_ns_per_byte = 3) disk (env : Scm.Env.t) ~start_block
-    entries =
+(* Boost's archive overhead. *)
+let cpu_ns_per_byte = 3
+
+let serialize disk (env : Scm.Env.t) ~start_block entries =
   let payload = encode entries in
   env.delay (cpu_ns_per_byte * Bytes.length payload);
   (* length header block + payload *)

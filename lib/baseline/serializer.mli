@@ -14,14 +14,13 @@ val decode : Bytes.t -> (int64 * Bytes.t) list
 (** Inverse of {!encode}. *)
 
 val serialize :
-  ?cpu_ns_per_byte:int ->
   Pcm_disk.t ->
   Scm.Env.t ->
   start_block:int ->
   (int64 * Bytes.t) list ->
   int
 (** Encode and write the entries to the file starting at [start_block];
-    charges CPU (default 3 ns/byte) plus the disk write; returns bytes
+    charges CPU (3 ns/byte) plus the disk write; returns bytes
     written. *)
 
 val deserialize :

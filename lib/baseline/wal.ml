@@ -4,7 +4,6 @@ type t = {
   disk : Pcm_disk.t;
   start_block : int;
   blocks : int;
-  serial_ns : int;
   sync : sync option;
   mutable next_lsn : int;
   mutable flushed_lsn : int;
@@ -15,7 +14,11 @@ type t = {
   mutable flushes : int;
 }
 
-let create ?sim ?(serial_ns = 16000) disk ~start_block ~blocks =
+(* In-mutex software cost per record: buffer management, lock
+   subsystem. *)
+let serial_ns = 16000
+
+let create ?sim disk ~start_block ~blocks =
   let sync =
     Option.map
       (fun sim ->
@@ -26,7 +29,6 @@ let create ?sim ?(serial_ns = 16000) disk ~start_block ~blocks =
     disk;
     start_block;
     blocks;
-    serial_ns;
     sync;
     next_lsn = 0;
     flushed_lsn = -1;
@@ -51,7 +53,7 @@ let commit_record t (env : Scm.Env.t) bytes =
   match t.sync with
   | None ->
       (* Single-threaded: append + flush immediately. *)
-      env.delay (t.serial_ns + (bytes / 4));
+      env.delay (serial_ns + (bytes / 4));
       t.records <- t.records + 1;
       t.next_lsn <- t.next_lsn + 1;
       flush_to_disk t env (bytes + 32);
@@ -59,7 +61,7 @@ let commit_record t (env : Scm.Env.t) bytes =
   | Some { mu; cond; _ } ->
       Sim.Mutex_r.lock mu;
       (* In-mutex record insertion: the serialization bottleneck. *)
-      env.delay (t.serial_ns + (bytes / 4));
+      env.delay (serial_ns + (bytes / 4));
       let my_lsn = t.next_lsn in
       t.next_lsn <- my_lsn + 1;
       t.pending_bytes <- t.pending_bytes + bytes + 32;

@@ -15,15 +15,9 @@
 
 type t
 
-val create :
-  ?sim:Sim.t ->
-  ?serial_ns:int ->
-  Pcm_disk.t ->
-  start_block:int ->
-  blocks:int ->
-  t
-(** [serial_ns] is the in-mutex software cost per record (buffer
-    management, lock subsystem), default 16000 ns. *)
+val create : ?sim:Sim.t -> Pcm_disk.t -> start_block:int -> blocks:int -> t
+(** Each record charges 16000 ns of in-mutex software cost (buffer
+    management, lock subsystem) plus a quarter ns per byte. *)
 
 val commit_record : t -> Scm.Env.t -> int -> unit
 (** [commit_record t env bytes] durably commits a log record of that

@@ -48,12 +48,6 @@ module Vc = struct
   (* Pointwise order with absent components reading as 0. *)
   let leq a b = Im.for_all (fun f v -> v <= get b f) a
   let equal a b = leq a b && leq b a
-
-  let to_string c =
-    Im.bindings c
-    |> List.map (fun (f, v) -> Printf.sprintf "%d:%d" f v)
-    |> String.concat ","
-    |> Printf.sprintf "{%s}"
 end
 
 type mode = Fasttrack | Naive_vc
@@ -108,7 +102,6 @@ let create ?(mode = Fasttrack) ~fiber ~now () =
     nraces = 0;
   }
 
-let mode t = t.mode
 let ops t = t.ops
 let races t = List.rev t.races
 let race_count t = t.nraces
@@ -294,5 +287,3 @@ let render r =
      by fiber %d (op %d, t=%dns)"
     (kind_name r.kind) r.loc ck r.cur.fiber r.cur.op r.cur.time pk
     r.prior.fiber r.prior.op r.prior.time
-
-let fiber_clock t f = clock_of t f

@@ -20,7 +20,6 @@ module Vc : sig
   type t
 
   val empty : t
-  val get : t -> int -> int
   val set : t -> int -> int -> t
   val tick : t -> int -> t
   (** Increment the fiber's own component. *)
@@ -33,7 +32,6 @@ module Vc : sig
       the same component of [b]. *)
 
   val equal : t -> t -> bool
-  val to_string : t -> string
 end
 
 type mode =
@@ -76,11 +74,6 @@ val race_count : t -> int
 val ops : t -> int
 (** Hook invocations consumed so far (the op-index clock). *)
 
-val mode : t -> mode
-
 val render : race -> string
 (** One-line report with dual provenance: both accessors' op index,
     simulated time and fiber id, plus the location label. *)
-
-val fiber_clock : t -> int -> Vc.t
-(** The fiber's current vector clock (tests). *)

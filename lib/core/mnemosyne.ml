@@ -39,7 +39,6 @@ let pmem t = t.pmem
 let heap t = t.heap
 let pool t = t.pool
 let view t = t.main_view
-let dir t = t.dir
 let reincarnation_stats t = t.stats
 
 let image_path dir = Filename.concat dir "scm.img"

@@ -30,10 +30,6 @@ type geometry = {
   heap_large_bytes : int;
 }
 
-val default_geometry : geometry
-(** 16 Ki frames (64 MiB) of SCM; 256 superblocks (2 MiB) + 4 MiB large
-    area. *)
-
 val open_instance :
   ?geometry:geometry ->
   ?latency:Scm.Latency_model.t ->
@@ -68,16 +64,6 @@ val prepare_machine :
     device image (or build a fresh zeroed device), wrapped in fresh
     volatile state.  No recovery is run. *)
 
-val crash_to_disk :
-  ?policy:Scm.Crash.policy -> Scm.Env.machine -> dir:string -> unit
-(** Apply a crash policy to the machine's volatile state
-    ({!Scm.Crash.inject}) and save the surviving device image to [dir],
-    ready to be reopened.  The machine is dead afterwards. *)
-
-val is_instance_dir : string -> bool
-(** Whether [dir] holds an instance layout (a [scm.img] image or a
-    [backing/] directory created by {!open_instance}/{!close}). *)
-
 val reset_dir : string -> (unit, string) result
 (** Make [dir] safe to (re)create an instance in: a missing or empty
     directory is left as is; an instance directory is deleted
@@ -109,8 +95,6 @@ val heap : t -> Pmheap.Heap.t
 val pool : t -> Mtm.Txn.pool
 val view : t -> Region.Pmem.view
 (** The instance's default (main-thread) view. *)
-
-val dir : t -> string
 
 (** {1 Table-3 API} *)
 

@@ -12,9 +12,6 @@
 
 type t
 
-val region_words : int
-(** Stored-word capacity of the log buffer. *)
-
 val region_bytes : int
 
 val create : Region.Pmem.view -> base:int -> t

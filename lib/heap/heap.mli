@@ -104,9 +104,6 @@ val occupancy : t -> occupancy
 
 val base : t -> int
 val magic : int64
-val header_page : int
-(** Bytes of the header page (4096). *)
-
 val alog_bytes : int
 (** Bytes reserved for the allocation log. *)
 

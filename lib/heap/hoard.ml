@@ -302,13 +302,6 @@ let free_commit t addr =
      assigned is always safe. *)
   release_accounting t sb st ~allow_unassign:false
 
-let free_blocks_in_class t bsize =
-  let ci = class_index (class_of bsize) in
-  Array.fold_left
-    (fun acc lst ->
-      List.fold_left (fun acc sb -> acc + t.states.(sb).free_count) acc lst)
-    0 t.avail.(ci)
-
 let assigned_superblocks t =
   Array.fold_left
     (fun acc st -> if st.bsize > 0 then acc + 1 else acc)

@@ -31,12 +31,6 @@ val superblock_bytes : int
 val max_block_bytes : int
 (** Largest size class (4096); bigger requests go to {!Large_alloc}. *)
 
-val size_classes : int list
-
-val class_of : int -> int
-(** Smallest size class holding a request; [Invalid_argument] above
-    {!max_block_bytes}. *)
-
 val create : Region.Pmem.view -> Alloc_log.t -> base:int -> count:int -> t
 val attach : Region.Pmem.view -> Alloc_log.t -> base:int -> count:int -> t
 
@@ -51,17 +45,14 @@ type reservation = {
           write. *)
 }
 
-val narenas : int
-(** Hoard's per-processor heaps: superblocks belong to one of this many
-    arenas, and each thread allocates from its own, so concurrent
-    transactions do not conflict on shared bitmap words. *)
-
 val reserve : ?arena:int -> t -> int -> reservation
 (** Pick a free block of the class for the size; volatile only.
-    [arena] (default 0, taken modulo {!narenas}) selects the preferred
-    arena — pass the thread id.  Falls back to a fresh superblock, then
-    to stealing from other arenas.  Raises [Failure] when no superblock
-    can serve the class. *)
+    Hoard's per-processor heaps: superblocks belong to one of 8 arenas,
+    and each thread allocates from its own, so concurrent transactions
+    do not conflict on shared bitmap words.  [arena] (default 0, taken
+    modulo 8) selects the preferred arena — pass the thread id.  Falls
+    back to a fresh superblock, then to stealing from other arenas.
+    Raises [Failure] when no superblock can serve the class. *)
 
 val finalize : t -> reservation -> unit
 (** The reservation's writes were durably committed. *)
@@ -89,7 +80,6 @@ val free_commit : t -> int -> unit
 
 val owns : t -> int -> bool
 val block_size_of : t -> int -> int
-val free_blocks_in_class : t -> int -> int
 val assigned_superblocks : t -> int
 val superblocks_scanned : t -> int
 

@@ -52,12 +52,6 @@ module Unpacker = struct
 
   let create () = { acc = 0L; nbits = 0; carry = 0L; carry_bits = 0 }
 
-  let reset t =
-    t.acc <- 0L;
-    t.nbits <- 0;
-    t.carry <- 0L;
-    t.carry_bits <- 0
-
   let feed t chunk =
     let chunk = Int64.logand chunk mask63 in
     if t.nbits = 0 then begin

@@ -37,7 +37,4 @@ module Unpacker : sig
 
   val take : t -> int64 option
   (** Next reassembled 64-bit payload word, once enough bits arrived. *)
-
-  val reset : t -> unit
-  (** Drop leftover padding bits at a record boundary. *)
 end

@@ -15,9 +15,6 @@ let magic = 0xC3L
 
 let region_bytes_for ~cap_words = header_bytes + (8 * cap_words)
 
-let max_record_words t = t.cap - 3
-
-let capacity t = t.cap
 let used_words t = (t.tail_off - t.head_off + t.cap) mod t.cap
 let free_words t = t.cap - 1 - used_words t
 
@@ -79,11 +76,6 @@ let set_head t ~off ~seq =
   t.head_seq <- seq
 
 let truncate_all t = set_head t ~off:t.tail_off ~seq:t.next_seq
-
-let advance_head t ~words ~records =
-  if words < 0 || words > used_words t then
-    invalid_arg "Commit_log.advance_head: beyond tail";
-  set_head t ~off:((t.head_off + words) mod t.cap) ~seq:(t.head_seq + records)
 
 let attach v ~base =
   let cap = Int64.to_int (Pmem.load v (base + 8)) in

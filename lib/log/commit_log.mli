@@ -14,7 +14,6 @@
 type t
 
 val region_bytes_for : cap_words:int -> int
-val max_record_words : t -> int
 
 val create : Region.Pmem.view -> base:int -> cap_words:int -> t
 
@@ -30,10 +29,3 @@ val append : t -> int64 array -> append_result
     the second fence is what the mechanism is). *)
 
 val truncate_all : t -> unit
-
-val advance_head : t -> words:int -> records:int -> unit
-(** Consume [words] stored words holding [records] records. *)
-
-val used_words : t -> int
-val free_words : t -> int
-val capacity : t -> int

@@ -367,8 +367,8 @@ let advance_head_post ~records t ~words =
   end
   else post_head t ~off:raw ~parity:t.head_parity ~tpos:t.head_tpos
 
-let advance_head ?(records = 1) t ~words =
-  advance_head_post ~records t ~words;
+let advance_head t ~words =
+  advance_head_post ~records:1 t ~words;
   Pmem.fence t.v;
   note_truncate t ~words
 

@@ -102,12 +102,11 @@ val set_owner : t -> int -> unit
 val truncate_all : t -> unit
 (** Drop every record: head := tail, one atomic word write + fence. *)
 
-val advance_head : ?records:int -> t -> words:int -> unit
-(** Consume [words] stored words from the head (the sum of spans of the
-    records being retired).  Atomic, like {!truncate_all}.  [records]
-    (default 1) is how many log records those words span — the
-    durability sanitizer retires its per-record sessions in lockstep
-    with the head. *)
+val advance_head : t -> words:int -> unit
+(** Consume [words] stored words from the head: the span of the one
+    record being retired (the durability sanitizer retires its
+    per-record sessions in lockstep with the head).  Atomic, like
+    {!truncate_all}. *)
 
 val advance_head_group : (t * int * int) list -> unit
 (** [advance_head_group [(log, records, words); ...]] retires records

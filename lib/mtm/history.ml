@@ -8,25 +8,17 @@ type commit_record = {
 
 type event = Commit of commit_record | Abort of { tid : int; attempt : int }
 
-type t = { mutable rev_events : event list; mutable n : int }
+type t = { mutable rev_events : event list }
 
-let create () = { rev_events = []; n = 0 }
+let create () = { rev_events = [] }
+let add t e = t.rev_events <- e :: t.rev_events
 
-let add t e =
-  t.rev_events <- e :: t.rev_events;
-  t.n <- t.n + 1
-
-let length t = t.n
 let events t = List.rev t.rev_events
 
 let commits t =
   List.filter_map
     (function Commit c -> Some c | Abort _ -> None)
     (events t)
-
-let aborts t =
-  List.length
-    (List.filter (function Abort _ -> true | Commit _ -> false) t.rev_events)
 
 (* The serial oracle.  Writers carry unique commit timestamps (drawn
    from the global {!Timestamp} one at a time, or from disjoint

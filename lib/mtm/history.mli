@@ -34,12 +34,8 @@ type t
 val create : unit -> t
 val add : t -> event -> unit
 
-val length : t -> int
 val events : t -> event list
 (** In arrival order. *)
-
-val commits : t -> commit_record list
-val aborts : t -> int
 
 val check :
   t -> initial:(int -> int64) -> final:(int -> int64) -> string list

@@ -71,12 +71,16 @@ let[@inline] race_rmw t h =
   | None -> ()
   | Some hk -> hk.Race_api.rmw (entry_label h)
 
-(* Each lock covers one 64-byte line of the address space (the paper:
+(* Each lock covers one cache line of the address space (the paper:
    "each lock covering a portion of the address space").  Range
    striding, not hashing: contiguous writes take contiguous locks, so a
    large write set occupies few entries and disjoint structures rarely
-   false-conflict. *)
-let[@inline] index_of t addr = (addr lsr 6) land t.mask
+   false-conflict.  The line number is a shift, not a division. *)
+let line_shift =
+  let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
+  log2 Scm.Cache.line_size
+
+let[@inline] index_of t addr = (addr lsr line_shift) land t.mask
 
 (* Word [f] of entry [h]: the chunk, and the index within it. *)
 let[@inline] chunk t h = t.chunks.(h lsr chunk_bits)

@@ -1,17 +1,5 @@
 type record = { ts : int; writes : (int * int64) list }
 
-let encode ~ts writes =
-  let n = List.length writes in
-  let arr = Array.make (2 + (2 * n)) 0L in
-  arr.(0) <- Int64.of_int ts;
-  arr.(1) <- Int64.of_int n;
-  List.iteri
-    (fun i (addr, v) ->
-      arr.(2 + (2 * i)) <- Int64.of_int addr;
-      arr.(3 + (2 * i)) <- v)
-    writes;
-  arr
-
 let decode arr =
   if Array.length arr < 2 then None
   else
@@ -27,21 +15,12 @@ let decode arr =
                 (Int64.to_int arr.(2 + (2 * i)), arr.(3 + (2 * i))));
         }
 
-let span_words ~nwrites = Pmlog.Bitstream.stored_words_for (2 + (2 * nwrites))
 let encoded_words ~nwrites = 2 + (2 * nwrites)
 
-(* Allocation-free encode for the commit path: the caller owns a
-   reusable buffer of at least [encoded_words ~nwrites] words, writes
-   the header with this, then lays each (addr, value) pair out at
-   offsets [2 + 2i] / [3 + 2i] — the same layout [encode] produces and
-   [decode] parses. *)
-let encode_header buf ~ts ~nwrites =
-  buf.(0) <- Int64.of_int ts;
-  buf.(1) <- Int64.of_int nwrites
-
-(* The same layout staged as raw little-endian bytes (word [i] at byte
-   [8i]), for {!Pmlog.Rawl.append_bytes}: header here, each (addr,
-   value) pair at bytes [8 * (2 + 2i)] / [8 * (3 + 2i)]. *)
+(* Allocation-free encode for the commit path: the layout [decode]
+   parses, staged as raw little-endian bytes (word [i] at byte [8i]) for
+   {!Pmlog.Rawl.append_bytes}: header here, each (addr, value) pair at
+   bytes [8 * (2 + 2i)] / [8 * (3 + 2i)]. *)
 let encode_header_bytes buf ~ts ~nwrites =
   Bytes.set_int64_le buf 0 (Int64.of_int ts);
   Bytes.set_int64_le buf 8 (Int64.of_int nwrites)

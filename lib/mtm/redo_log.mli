@@ -10,25 +10,16 @@
 
 type record = { ts : int; writes : (int * int64) list }
 
-val encode : ts:int -> (int * int64) list -> int64 array
 val decode : int64 array -> record option
 (** [None] for records that are not well-formed transaction records. *)
-
-val span_words : nwrites:int -> int
-(** Stored-word span of a record with that many writes (what the
-    asynchronous truncation daemon advances the head by). *)
 
 val encoded_words : nwrites:int -> int
 (** Payload length in words of a record with that many writes. *)
 
-val encode_header : int64 array -> ts:int -> nwrites:int -> unit
-(** Allocation-free encode into a caller-owned buffer of at least
-    {!encoded_words} words: writes the record header; the caller lays
-    out (address, value) pairs at offsets [2 + 2i] / [3 + 2i] — the
-    layout {!encode} produces and {!decode} parses. *)
-
 val encode_header_bytes : Bytes.t -> ts:int -> nwrites:int -> unit
-(** {!encode_header} into a raw little-endian byte staging buffer
-    (word [i] at byte [8i], pairs at bytes [8 * (2 + 2i)] /
-    [8 * (3 + 2i)]) for {!Pmlog.Rawl.append_bytes}: encoding this way
-    never materializes a boxed [Int64] per word. *)
+(** Allocation-free encode into a caller-owned raw little-endian byte
+    staging buffer of at least {!encoded_words} words: writes the record
+    header (word [i] at byte [8i]); the caller lays out (address, value)
+    pairs at bytes [8 * (2 + 2i)] / [8 * (3 + 2i)] — the layout
+    {!decode} parses — for {!Pmlog.Rawl.append_bytes}.  Encoding this way never materializes a
+    boxed [Int64] per word. *)

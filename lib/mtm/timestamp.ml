@@ -55,7 +55,6 @@ let create () = { now = 0; active = 0; race = None }
 let set_race t h = t.race <- h
 let now t = t.now
 let lease_create () = { next = 1; last = 0 } (* empty: next > last *)
-let lease_remaining l = if l.last >= l.next then l.last - l.next + 1 else 0
 
 let next t (env : Scm.Env.t) =
   env.delay (env.machine.latency.timestamp_ns * max 1 t.active);
@@ -105,7 +104,3 @@ let advance_to t n =
 let register_thread t =
   race_rmw t "mtm.ts.active";
   t.active <- t.active + 1
-
-let unregister_thread t =
-  race_rmw t "mtm.ts.active";
-  t.active <- max 0 (t.active - 1)

@@ -43,9 +43,6 @@ val next : t -> Scm.Env.t -> int
 val lease_create : unit -> lease
 (** A fresh, empty lease: the first {!draw} through it refills. *)
 
-val lease_remaining : lease -> int
-(** Unissued values left in the lease (before any floor skipping). *)
-
 val draw : t -> Scm.Env.t -> lease -> size:int -> floor:int -> int
 (** Draw one commit timestamp strictly greater than [floor] (the
     largest version or read timestamp the commit must serialize
@@ -65,7 +62,6 @@ val advance_to : t -> int -> unit
     ceiling. *)
 
 val register_thread : t -> unit
-val unregister_thread : t -> unit
 
 val set_race : t -> Race_api.hooks option -> unit
 (** Race-detection hooks (DESIGN.md section 18): the shared counter is

@@ -210,7 +210,6 @@ type stats = {
   log_full_stalls : int;
 }
 
-let config pool = pool.cfg
 let pmem pool = pool.pmem
 let recovered_txns pool = pool.recovered
 let obs pool = pool.obs
@@ -428,7 +427,7 @@ let thread pool i env =
           | Some { Redo_log.writes; _ } ->
               List.iter
                 (fun (addr, _) ->
-                  let line = addr land lnot 63 in
+                  let line = Scm.Cache.line_base addr in
                   if line <> !last then begin
                     Pmem.flush view line;
                     last := line
@@ -487,7 +486,6 @@ let thread pool i env =
 let set_history_hook pool h = pool.history <- h
 let set_backoff_draw pool d = pool.backoff_draw <- d
 let set_txprof pool tp = pool.txprof <- tp
-let txprof pool = pool.txprof
 
 let set_race pool h =
   pool.race <- h;
@@ -662,13 +660,13 @@ let[@inline] note_false_conflict tx locks idx ~addr =
 
 (* Abort on a lock conflict at [addr]: remember the address (the
    adaptive backoff scales with how contended its line has been) and
-   attribute the abort to its 64-byte line.  Plain table ops — no
+   attribute the abort to its cache line.  Plain table ops — no
    simulated time, no rng — so the legacy schedule is untouched. *)
 let abort_on_conflict tx addr =
   let th = tx.th in
   race_on th.pool rmw Fun.id "mtm.cm.abort_lines";
   th.last_conflict_addr <- addr;
-  let line = addr land lnot 63 in
+  let line = Scm.Cache.line_base addr in
   (match Hashtbl.find_opt th.pool.abort_lines line with
   | Some r -> incr r
   | None -> Hashtbl.add th.pool.abort_lines line (ref 1));
@@ -679,7 +677,7 @@ let cm_backoff_cap_ns = 12800
 
 let line_abort_count pool addr =
   race_on pool acq Fun.id "mtm.cm.abort_lines";
-  match Hashtbl.find_opt pool.abort_lines (addr land lnot 63) with
+  match Hashtbl.find_opt pool.abort_lines (Scm.Cache.line_base addr) with
   | Some r -> !r
   | None -> 0
 
@@ -946,7 +944,7 @@ let free tx ~slot =
 let flush_sorted_lines view (addrs : int array) n =
   let last = ref (-1) in
   for i = 0 to n - 1 do
-    let line = addrs.(i) land lnot 63 in
+    let line = Scm.Cache.line_base addrs.(i) in
     if line <> !last then begin
       Pmem.flush view line;
       last := line

@@ -138,7 +138,6 @@ val create_pool :
 val recovered_txns : pool -> int
 (** Transactions replayed by recovery at pool creation. *)
 
-val config : pool -> config
 val pmem : pool -> Region.Pmem.t
 
 val thread : pool -> int -> Scm.Env.t -> thread
@@ -302,8 +301,6 @@ val set_txprof : pool -> Obs.Txprof.t option -> unit
     the transaction's duration (first attempt begin to commit return).
     Maintaining the ledger reads the simulated clock but never charges
     time, draws randomness, or allocates on the steady-state path. *)
-
-val txprof : pool -> Obs.Txprof.t option
 
 val set_race : pool -> Race_api.hooks option -> unit
 (** Install race-detection hooks over the pool's volatile coordination

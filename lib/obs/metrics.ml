@@ -2,10 +2,13 @@ type counter = { c_name : string; mutable count : int }
 
 type gauge = { g_name : string; mutable sample : unit -> int }
 
+(* Unit buckets below [sub]; [sub] sub-buckets per power of two above,
+   so the relative quantization error is at most 1/[sub]. *)
+let sub_bits = 9
+let sub = 1 lsl sub_bits
+
 type histogram = {
   h_name : string;
-  sub_bits : int;
-  sub : int;  (* 1 lsl sub_bits *)
   mutable buckets : int array;  (* empty until the first record *)
   mutable n : int;
   mutable sum : int;
@@ -39,7 +42,6 @@ let counter t name =
 
 let incr ?(by = 1) c = c.count <- c.count + by
 let counter_value c = c.count
-let counter_name c = c.c_name
 
 (* ------------------------------------------------------------------ *)
 (* Gauges                                                              *)
@@ -53,21 +55,13 @@ let gauge t name =
       g
 
 let set_gauge g f = g.sample <- f
-let gauge_value g = g.sample ()
-let gauge_name g = g.g_name
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
 
-let default_sub_bits = 9
-
-let make_histogram ?(sub_bits = default_sub_bits) name =
-  if sub_bits < 1 || sub_bits > 20 then
-    invalid_arg "Metrics.make_histogram: sub_bits";
+let make_histogram name =
   {
     h_name = name;
-    sub_bits;
-    sub = 1 lsl sub_bits;
     buckets = [||];
     n = 0;
     sum = 0;
@@ -75,11 +69,11 @@ let make_histogram ?(sub_bits = default_sub_bits) name =
     max_v = 0;
   }
 
-let histogram ?sub_bits t name =
+let histogram t name =
   match Hashtbl.find_opt t.histograms name with
   | Some h -> h
   | None ->
-      let h = make_histogram ?sub_bits name in
+      let h = make_histogram name in
       Hashtbl.replace t.histograms name h;
       h
 
@@ -93,19 +87,19 @@ let msb v =
   if !v lsr 1 <> 0 then Stdlib.incr r;
   !r
 
-let index h v =
-  if v < h.sub then v
+let index v =
+  if v < sub then v
   else
     let m = msb v in
-    ((m - h.sub_bits + 1) * h.sub) + ((v lsr (m - h.sub_bits)) - h.sub)
+    ((m - sub_bits + 1) * sub) + ((v lsr (m - sub_bits)) - sub)
 
 (* Lower bound of bucket [i]: the smallest value that maps there (the
    inverse of {!index}; exact for unit-width buckets). *)
-let value_of_index h i =
-  if i < h.sub then i
+let value_of_index i =
+  if i < sub then i
   else
-    let m = (i / h.sub) - 1 + h.sub_bits in
-    (h.sub + (i mod h.sub)) lsl (m - h.sub_bits)
+    let m = (i / sub) - 1 + sub_bits in
+    (sub + (i mod sub)) lsl (m - sub_bits)
 
 (* Most histograms of a run never see a sample, so the bucket array
    (one linear segment below [sub], then one [sub]-wide segment per
@@ -113,8 +107,8 @@ let value_of_index h i =
 let record h v =
   let v = if v < 0 then 0 else v in
   if Array.length h.buckets = 0 then
-    h.buckets <- Array.make ((64 - h.sub_bits) * h.sub) 0;
-  let i = index h v in
+    h.buckets <- Array.make ((64 - sub_bits) * sub) 0;
+  let i = index v in
   h.buckets.(i) <- h.buckets.(i) + 1;
   h.n <- h.n + 1;
   h.sum <- h.sum + v;
@@ -126,14 +120,6 @@ let hsum h = h.sum
 let hmean h = if h.n = 0 then 0.0 else float_of_int h.sum /. float_of_int h.n
 let hmin h = if h.n = 0 then 0 else h.min_v
 let hmax h = h.max_v
-let histogram_name h = h.h_name
-
-let hreset h =
-  Array.fill h.buckets 0 (Array.length h.buckets) 0;
-  h.n <- 0;
-  h.sum <- 0;
-  h.min_v <- max_int;
-  h.max_v <- 0
 
 let percentile h p =
   if h.n = 0 then 0
@@ -147,7 +133,7 @@ let percentile h p =
        while !i < Array.length h.buckets do
          acc := !acc + h.buckets.(!i);
          if !acc > rank then begin
-           result := value_of_index h !i;
+           result := value_of_index !i;
            raise Exit
          end;
          Stdlib.incr i

@@ -4,10 +4,10 @@
     machine: recording never charges simulated time, so enabling
     metrics cannot perturb a measurement.
 
-    Histograms are HDR-style log-linear: values below [2^sub_bits] get
+    Histograms are HDR-style log-linear: values below 512 get
     unit-width buckets, and every power-of-two range above is split
-    into [2^sub_bits] equal sub-buckets, bounding the relative
-    quantization error by [2^-sub_bits].  Recording is O(1); count,
+    into 512 equal sub-buckets, bounding the relative quantization
+    error by 1/512.  Recording is O(1); count,
     sum, mean, min and max are exact; percentile queries walk the
     bucket array once — O(buckets), independent of the sample count.
     The bucket array is allocated by the first {!record}, so a
@@ -29,7 +29,6 @@ val counter : t -> string -> counter
 
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
-val counter_name : counter -> string
 
 (** {1 Gauges}
 
@@ -48,22 +47,13 @@ val set_gauge : gauge -> (unit -> int) -> unit
     desired behaviour when a structure is re-created (e.g. a log
     re-attached after recovery). *)
 
-val gauge_value : gauge -> int
-(** Sample the gauge now. *)
-
-val gauge_name : gauge -> string
-
 (** {1 Histograms} *)
 
-val default_sub_bits : int
-(** 9: unit buckets below 512, relative error bounded by 1/512. *)
-
-val make_histogram : ?sub_bits:int -> string -> histogram
+val make_histogram : string -> histogram
 (** A standalone histogram outside any registry. *)
 
-val histogram : ?sub_bits:int -> t -> string -> histogram
-(** Get or create the named histogram in the registry.  [sub_bits]
-    applies only on creation. *)
+val histogram : t -> string -> histogram
+(** Get or create the named histogram in the registry. *)
 
 val record : histogram -> int -> unit
 (** Record one sample (negative samples clamp to 0). *)
@@ -80,21 +70,9 @@ val hmax : histogram -> int
 val percentile : histogram -> float -> int
 (** [percentile h p] with [p] in [0..100]: the sample at rank
     [round (p/100 * (n-1))], quantized to its bucket (exact below
-    [2^sub_bits]; relative error at most [2^-sub_bits] above). *)
-
-val histogram_name : histogram -> string
-val hreset : histogram -> unit
+    512; relative error at most 1/512 above). *)
 
 (** {1 Dumping} *)
-
-val iter_counters : t -> (counter -> unit) -> unit
-(** Ascending name order. *)
-
-val iter_gauges : t -> (gauge -> unit) -> unit
-(** Ascending name order. *)
-
-val iter_histograms : t -> (histogram -> unit) -> unit
-(** Ascending name order. *)
 
 val dump : t -> string
 (** Human-readable table of every counter, gauge and histogram. *)

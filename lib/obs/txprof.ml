@@ -84,8 +84,6 @@ let create ?(k = default_k) m =
 let count t = t.recorded
 let k t = t.k
 let captured t = t.len
-let phase_histogram t i = t.h_phase.(i)
-let total_histogram t = t.h_total
 
 let[@inline] fill e ~txid ~tid ~start_ts ~total_ns ~retries ~bytes_logged
     ~writes ~phases =

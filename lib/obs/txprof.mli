@@ -40,8 +40,6 @@ val ph_drain_wait : int
 val ph_other : int
 (** Residual commit bookkeeping not in a named phase. *)
 
-val phase_name : int -> string
-
 type entry = {
   mutable txid : int;
   mutable tid : int;
@@ -55,12 +53,10 @@ type entry = {
 
 type t
 
-val default_k : int
-(** 16. *)
-
 val create : ?k:int -> Metrics.t -> t
-(** Preallocate a K-entry capture and register the phase histograms in
-    the given registry. *)
+(** Preallocate a K-entry capture (default 16) and register the phase
+    histograms in the given registry: [mtm.txn.phase.<phase>_ns] and
+    [mtm.txn.total_ns]. *)
 
 val record :
   t ->
@@ -89,9 +85,6 @@ val top : t -> entry list
     heap slots — read them after the run, before further records. *)
 
 val phase_sum : entry -> int
-
-val phase_histogram : t -> int -> Metrics.histogram
-val total_histogram : t -> Metrics.histogram
 
 val table : t -> string
 (** The tail-attribution table: one row per captured transaction,

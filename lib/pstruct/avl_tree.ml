@@ -8,8 +8,6 @@ let magic = 0x41564CL
 
 type t = { hdr : int }
 
-let root t = t.hdr
-
 let f_left n = n
 let f_right n = n + 8
 let f_height n = n + 16

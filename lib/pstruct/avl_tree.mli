@@ -14,8 +14,6 @@ val create : Mtm.Txn.t -> slot:int -> t
 
 val attach : Mtm.Txn.t -> root:int -> t
 
-val root : t -> int
-
 val put : Mtm.Txn.t -> t -> int64 -> Bytes.t -> unit
 (** Insert or replace the value for a key. *)
 

@@ -11,6 +11,3 @@ let read tx addr =
   if len = 0 then Bytes.create 0 else Mtm.Txn.read_bytes tx (addr + 8) len
 
 let free tx ~slot = Mtm.Txn.free tx ~slot
-
-let equal tx addr b =
-  length tx addr = Bytes.length b && read tx addr = b

@@ -13,11 +13,5 @@ val alloc : Mtm.Txn.t -> slot:int -> Bytes.t -> int
 val read : Mtm.Txn.t -> int -> Bytes.t
 (** Read a blob's contents. *)
 
-val length : Mtm.Txn.t -> int -> int
-
 val free : Mtm.Txn.t -> slot:int -> unit
 (** Free the blob a slot points at, clearing the slot. *)
-
-val equal : Mtm.Txn.t -> int -> Bytes.t -> bool
-(** Compare a blob's contents with the given bytes without copying the
-    whole blob when lengths differ. *)

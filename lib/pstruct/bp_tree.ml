@@ -16,8 +16,6 @@ let magic = 0x4250_54L
 
 type t = { hdr : int }
 
-let root t = t.hdr
-
 let count_addr t = t.hdr + 8
 let root_addr t = t.hdr + 16
 let scratch_addr t = t.hdr + 24

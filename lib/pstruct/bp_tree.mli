@@ -14,12 +14,8 @@
 
 type t
 
-val order : int
-(** 16. *)
-
 val create : Mtm.Txn.t -> slot:int -> t
 val attach : Mtm.Txn.t -> root:int -> t
-val root : t -> int
 
 val put : Mtm.Txn.t -> t -> int64 -> Bytes.t -> unit
 val find : Mtm.Txn.t -> t -> int64 -> Bytes.t option
@@ -51,9 +47,7 @@ val f_kind : int -> int
 (** 0 = internal, 1 = leaf. *)
 
 val f_nkeys : int -> int
-val leaf_next : int -> int
 val leaf_key : int -> int -> int
-val leaf_val : int -> int -> int
 val int_key : int -> int -> int
 val int_child : int -> int -> int
 (** Each takes the node address (and an index). *)

@@ -18,8 +18,6 @@ let counter_stride = 64
 
 type t = { root : int; buckets : int; array_addr : int }
 
-let root t = t.root
-
 let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
@@ -166,14 +164,3 @@ let length tx t =
       Int64.add !total (Txn.load tx (t.root + 64 + (counter_stride * i)))
   done;
   Int64.to_int !total
-
-let iter tx t f =
-  for i = 0 to t.buckets - 1 do
-    let rec walk node =
-      if node <> 0 then begin
-        f (node_key tx node) (node_value tx node);
-        walk (Int64.to_int (Txn.load tx node))
-      end
-    in
-    walk (Int64.to_int (Txn.load tx (t.array_addr + (i * 8))))
-  done

@@ -21,8 +21,6 @@ val create : Mtm.Txn.t -> slot:int -> buckets:int -> t
 val attach : Mtm.Txn.t -> root:int -> t
 (** Re-open a table by its root address (the value in the slot). *)
 
-val root : t -> int
-
 val put : Mtm.Txn.t -> t -> Bytes.t -> Bytes.t -> unit
 (** Insert or replace. *)
 
@@ -32,8 +30,6 @@ val remove : Mtm.Txn.t -> t -> Bytes.t -> bool
 (** True if the key was present. *)
 
 val length : Mtm.Txn.t -> t -> int
-
-val iter : Mtm.Txn.t -> t -> (Bytes.t -> Bytes.t -> unit) -> unit
 
 (** {1 On-SCM format introspection}
 
@@ -50,8 +46,6 @@ val unpack_lens : int64 -> int * int
 
 val node_bytes : klen:int -> vlen:int -> int
 val key_addr : int -> int
-val value_addr : int -> int -> int
-(** [value_addr node klen]. *)
 
 val hash_bytes : Bytes.t -> int64
 (** The key hash stored at [node + 8]. *)

@@ -6,7 +6,6 @@ let magic = 0x504CL
 
 type t = { hdr : int }
 
-let root t = t.hdr
 let count_addr t = t.hdr + 8
 let head_addr t = t.hdr + 16
 

@@ -10,7 +10,6 @@ type t
 
 val create : Mtm.Txn.t -> slot:int -> t
 val attach : Mtm.Txn.t -> root:int -> t
-val root : t -> int
 
 val push : Mtm.Txn.t -> t -> Bytes.t -> unit
 (** Prepend a value. *)

@@ -11,7 +11,6 @@ let default_payload_bytes = 88
 
 type t = { hdr : int; payload : int }
 
-let root t = t.hdr
 let payload_bytes t = t.payload
 
 let f_left n = n
@@ -36,12 +35,6 @@ let create tx ~slot ?(payload_bytes = default_payload_bytes) () =
   Txn.store tx (hdr + 16) 0L;
   Txn.store tx (hdr + 24) 0L;
   { hdr; payload = payload_bytes }
-
-let attach tx ~root =
-  let w = Txn.load tx root in
-  if Int64.shift_right_logical w 48 <> magic then
-    invalid_arg "Rb_tree.attach: no tree at this address";
-  { hdr = root; payload = Int64.to_int (Int64.logand w 0xffffL) }
 
 let get tx a = Int64.to_int (Txn.load tx a)
 let color tx n = if n = 0 then black else Txn.load tx (f_color n)

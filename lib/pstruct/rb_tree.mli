@@ -9,12 +9,10 @@
 
 type t
 
-val default_payload_bytes : int
-(** 88, making the node block exactly 128 bytes. *)
-
 val create : Mtm.Txn.t -> slot:int -> ?payload_bytes:int -> unit -> t
-val attach : Mtm.Txn.t -> root:int -> t
-val root : t -> int
+(** [payload_bytes] defaults to 88, making the node block exactly 128
+    bytes. *)
+
 val payload_bytes : t -> int
 
 val put : Mtm.Txn.t -> t -> int64 -> Bytes.t -> unit

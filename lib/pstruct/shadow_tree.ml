@@ -202,4 +202,3 @@ let iter t f =
   go root
 
 let live_nodes t = t.capacity - List.length t.free
-let free_nodes t = List.length t.free

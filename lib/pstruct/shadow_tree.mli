@@ -43,4 +43,3 @@ val length : t -> int
 val iter : t -> (int64 -> Bytes.t -> unit) -> unit
 
 val live_nodes : t -> int
-val free_nodes : t -> int

@@ -1,6 +1,7 @@
+let page_io_ns = 2500
+
 type t = {
   dir : string;
-  page_io_ns : int;
   names : (string, int) Hashtbl.t;
   mutable next_inode : int;
 }
@@ -45,14 +46,11 @@ let load_index t =
         done)
   end
 
-let open_dir ?(page_io_ns = 2500) dir =
+let open_dir dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let t = { dir; page_io_ns; names = Hashtbl.create 8; next_inode = 1 } in
+  let t = { dir; names = Hashtbl.create 8; next_inode = 1 } in
   load_index t;
   t
-
-let dir t = t.dir
-let page_io_ns t = t.page_io_ns
 
 let create_file t ?name () =
   incr mutations;

@@ -12,13 +12,12 @@
 
 type t
 
-val open_dir : ?page_io_ns:int -> string -> t
-(** Open (creating if needed) a backing directory.  [page_io_ns] is the
-    charged cost of one 4-KiB page transfer to or from the file system
-    (the swap path cost). *)
+val open_dir : string -> t
+(** Open (creating if needed) a backing directory. *)
 
-val dir : t -> string
-val page_io_ns : t -> int
+val page_io_ns : int
+(** 2500: the simulated ns charged for one page transfer to or from the
+    file system (the swap path cost). *)
 
 val create_file : t -> ?name:string -> unit -> int
 (** Create an empty backing file; returns its inode.  A [name] makes the

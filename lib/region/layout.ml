@@ -1,4 +1,4 @@
-let page_size = 4096
+let page_size = Scm.Scm_device.frame_size
 
 (* 1 GiB base, 1 TiB reserved range: both powers of two, so the range
    check compiles to a mask on real hardware and stays cheap here. *)
@@ -20,5 +20,4 @@ let pstatic_size = static_size - region_table_size
 let dynamic_base = persistent_base + (16 * 1024 * 1024)
 
 let page_of addr = addr / page_size
-let page_base addr = addr - (addr mod page_size)
 let pages_for len = (len + page_size - 1) / page_size

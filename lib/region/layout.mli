@@ -10,7 +10,8 @@
     variable area.  Dynamic regions are placed above [dynamic_base]. *)
 
 val page_size : int
-(** 4096. *)
+(** {!Scm.Scm_device.frame_size}: a page of the address space fills one
+    device frame. *)
 
 val persistent_base : int
 (** Base virtual address of the reserved persistent range. *)
@@ -36,6 +37,5 @@ val dynamic_base : int
 (** First virtual address available to dynamically created regions. *)
 
 val page_of : int -> int
-val page_base : int -> int
 val pages_for : int -> int
 (** Number of pages covering a byte length. *)

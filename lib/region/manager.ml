@@ -27,8 +27,6 @@ type t = {
   stats : boot_stats;
 }
 
-let machine t = t.machine
-let backing t = t.backing
 let boot_stats t = t.stats
 let free_frames t = Queue.length t.free
 let resident_frames t = Hashtbl.length t.resident
@@ -64,7 +62,10 @@ let format (machine : Scm.Env.machine) backing =
   done;
   t
 
-let boot ?(frame_reconstruct_ns = 2800) (machine : Scm.Env.machine) backing =
+(* Simulated cost of scanning one mapping-table entry at boot. *)
+let frame_reconstruct_ns = 2800
+
+let boot (machine : Scm.Env.machine) backing =
   let nframes = Scm_device.nframes machine.dev in
   let table = Mapping_table.create machine.dev in
   let reserved = Mapping_table.frames_for ~nframes in
@@ -108,20 +109,18 @@ let boot ?(frame_reconstruct_ns = 2800) (machine : Scm.Env.machine) backing =
 
 let frame_of t ~inode ~page_off = Hashtbl.find_opt t.resident (inode, page_off)
 
-let frame_addr t frame = frame * Scm_device.frame_size t.machine.dev
+let frame_addr frame = frame * Scm_device.frame_size
 
 (* Write back any dirty cache lines covering [frame] and invalidate them
    all, so the device holds the truth and no stale line shadows data
    loaded into a recycled frame. *)
 let purge_frame_lines ?(writeback = true) t frame =
-  let fs = Scm_device.frame_size t.machine.dev in
-  let base = frame_addr t frame in
-  let line = Cache.line_size t.machine.cache in
+  let base = frame_addr frame in
   let a = ref base in
-  while !a < base + fs do
+  while !a < base + Scm_device.frame_size do
     if writeback then Cache.writeback_line t.machine.cache !a;
     Cache.invalidate_line t.machine.cache !a;
-    a := !a + line
+    a := !a + Cache.line_size
   done
 
 let detach t env frame ~write_back =
@@ -130,11 +129,11 @@ let detach t env frame ~write_back =
   | Some (inode, page_off) ->
       if write_back then begin
         purge_frame_lines t frame;
-        let fs = Scm_device.frame_size t.machine.dev in
-        let buf = Bytes.create fs in
-        Scm_device.read_into t.machine.dev (frame_addr t frame) buf 0 fs;
+        let buf = Bytes.create Scm_device.frame_size in
+        Scm_device.read_into t.machine.dev (frame_addr frame) buf 0
+          Scm_device.frame_size;
         Backing_store.write_page t.backing inode page_off buf;
-        env.Scm.Env.delay (Backing_store.page_io_ns t.backing);
+        env.Scm.Env.delay Backing_store.page_io_ns;
         t.swaps_out <- t.swaps_out + 1;
         let obs = t.machine.Scm.Env.obs in
         Obs.Metrics.incr
@@ -222,26 +221,15 @@ let fault_in t env ~inode ~page_off =
   | None ->
       let frame = take_frame t env in
       purge_frame_lines ~writeback:false t frame;
-      let fs = Scm_device.frame_size t.machine.dev in
-      let buf = Bytes.create fs in
+      let buf = Bytes.create Scm_device.frame_size in
       Backing_store.read_page t.backing inode page_off buf;
-      Scm_device.write_from t.machine.dev (frame_addr t frame) buf 0 fs;
-      env.Scm.Env.delay (Backing_store.page_io_ns t.backing);
+      Scm_device.write_from t.machine.dev (frame_addr frame) buf 0
+        Scm_device.frame_size;
+      env.Scm.Env.delay Backing_store.page_io_ns;
       t.swaps_in <- t.swaps_in + 1;
       let obs = t.machine.Scm.Env.obs in
       Obs.Metrics.incr (Obs.Metrics.counter obs.Obs.metrics "region.swaps_in");
       Obs.instant_at obs Obs.Trace.Swap_in ~ts:(env.Scm.Env.now ()) ~arg:frame;
-      install t env frame ~inode ~page_off
-
-let alloc_fresh t env ~inode ~page_off =
-  match frame_of t ~inode ~page_off with
-  | Some frame -> settle t env frame ~inode ~page_off
-  | None ->
-      let frame = take_frame t env in
-      purge_frame_lines ~writeback:false t frame;
-      let fs = Scm_device.frame_size t.machine.dev in
-      Scm_device.write_from t.machine.dev (frame_addr t frame)
-        (Bytes.make fs '\000') 0 fs;
       install t env frame ~inode ~page_off
 
 let release_pages t env ~inode =
@@ -262,19 +250,22 @@ let sync_to_backing t env ~inode =
       (fun (i, off) frame acc -> if i = inode then (off, frame) :: acc else acc)
       t.resident []
   in
-  let fs = Scm_device.frame_size t.machine.dev in
-  let buf = Bytes.create fs in
+  let buf = Bytes.create Scm_device.frame_size in
   List.iter
     (fun (page_off, frame) ->
       purge_frame_lines t frame;
-      Scm_device.read_into t.machine.dev (frame_addr t frame) buf 0 fs;
+      Scm_device.read_into t.machine.dev (frame_addr frame) buf 0
+        Scm_device.frame_size;
       Backing_store.write_page t.backing inode page_off buf;
-      env.Scm.Env.delay (Backing_store.page_io_ns t.backing))
+      env.Scm.Env.delay Backing_store.page_io_ns)
     pages
 
 let on_evict t hook = t.hooks <- hook :: t.hooks
 
-let wear_level t ?(max_moves = 64) env ~threshold =
+(* Pages one {!wear_level} call migrates at most. *)
+let max_moves = 64
+
+let wear_level t env ~threshold =
   let dev = t.machine.dev in
   let nframes = Scm_device.nframes dev in
   let mean =
@@ -319,10 +310,10 @@ let wear_level t ?(max_moves = 64) env ~threshold =
              (* 1. settle and copy the page contents *)
              purge_frame_lines t frame;
              purge_frame_lines ~writeback:false t target;
-             let fs = Scm_device.frame_size dev in
+             let fs = Scm_device.frame_size in
              let buf = Bytes.create fs in
-             Scm_device.read_into dev (frame_addr t frame) buf 0 fs;
-             Scm_device.write_from dev (frame_addr t target) buf 0 fs;
+             Scm_device.read_into dev (frame_addr frame) buf 0 fs;
+             Scm_device.write_from dev (frame_addr target) buf 0 fs;
              env.Scm.Env.delay (fs / 4);  (* memcpy *)
              (* 2. install the new mapping durably, then 3. free the
                 old frame; a crash in between leaves two identical

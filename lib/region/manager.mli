@@ -24,14 +24,13 @@ val format : Scm.Env.machine -> Backing_store.t -> t
 (** Initialize a fresh device: format the mapping table, free-list all
     non-reserved frames. *)
 
-val boot : ?frame_reconstruct_ns:int -> Scm.Env.machine -> Backing_store.t -> t
+val boot : Scm.Env.machine -> Backing_store.t -> t
 (** Reconstruct from an existing device image: scan the mapping table,
-    rebuild the residency index and free list.  Raises [Failure] if the
-    device was never formatted. *)
+    rebuild the residency index and free list, charging 2800 ns per
+    frame scanned to [boot_ns].  Raises [Failure] if the device was
+    never formatted. *)
 
 val boot_stats : t -> boot_stats
-val machine : t -> Scm.Env.machine
-val backing : t -> Backing_store.t
 
 val free_frames : t -> int
 val resident_frames : t -> int
@@ -43,16 +42,6 @@ val fault_in : t -> Scm.Env.t -> inode:int -> page_off:int -> int
 (** Return the frame holding the page, loading it from the backing file
     (and evicting a victim if SCM is full).  Raises [Failure] if there
     is genuinely no frame to reclaim. *)
-
-val alloc_fresh : t -> Scm.Env.t -> inode:int -> page_off:int -> int
-(** Like {!fault_in} for a page known to be brand new: the frame is
-    zeroed instead of read from the file (cheaper, and used by [pmap]
-    right after creating an empty backing file). *)
-
-val evict_one : t -> Scm.Env.t -> bool
-(** Swap one pseudo-randomly chosen resident page out to its backing
-    file; false if nothing is resident.  Also used directly by the swap
-    tests. *)
 
 val release_pages : t -> Scm.Env.t -> inode:int -> unit
 (** Drop every resident page of a file without writing it back (the
@@ -68,7 +57,7 @@ val on_evict : t -> (inode:int -> page_off:int -> unit) -> unit
     release, or wear-leveling migration); the address-translation
     caches above invalidate through this. *)
 
-val wear_level : t -> ?max_moves:int -> Scm.Env.t -> threshold:float -> int
+val wear_level : t -> Scm.Env.t -> threshold:float -> int
 (** The remapping the paper sketches in section 4.5: "virtualization
     enables remapping heavily used virtual pages to spread writes to
     different physical PCM frames".  Migrates every resident page whose
@@ -76,8 +65,8 @@ val wear_level : t -> ?max_moves:int -> Scm.Env.t -> threshold:float -> int
     write count (this boot) onto the least-worn free frame: copy, then
     durably install the new mapping, then free the old one — a crash
     between the two steps leaves both frames holding identical data, so
-    recovery is safe with either.  Returns pages moved (at most
-    [max_moves], default 64).  No-op when no free frame is colder than
+    recovery is safe with either.  Returns pages moved (at most 64).
+    No-op when no free frame is colder than
     the source. *)
 
 val swaps_out : t -> int

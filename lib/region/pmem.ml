@@ -220,18 +220,6 @@ let wtstore_bytes v addr buf off len =
   by_page v addr len (fun pa rel n ->
       P.wtstore_bytes v.env pa buf (off + rel) n)
 
-let persist v addr len =
-  by_page v addr len (fun pa _ n ->
-      let line = 64 in
-      let first = pa land lnot (line - 1) in
-      let last = (pa + n - 1) land lnot (line - 1) in
-      let a = ref first in
-      while !a <= last do
-        P.flush v.env !a;
-        a := !a + line
-      done);
-  P.fence v.env
-
 (* ------------------------------------------------------------------ *)
 (* Region table: 16 KiB at the base of the static region.              *)
 
@@ -401,8 +389,8 @@ let punmap v addr =
   Backing_store.delete_file t.backing r.inode;
   unregister t r
 
-let wear_level ?max_moves (v : view) ~threshold =
-  Manager.wear_level v.pmem.mgr ?max_moves v.env ~threshold
+let wear_level (v : view) ~threshold =
+  Manager.wear_level v.pmem.mgr v.env ~threshold
 
 let close v =
   let t = v.pmem in

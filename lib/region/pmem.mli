@@ -99,16 +99,14 @@ val fence_many : view list -> unit
 val load_bytes : view -> int -> Bytes.t -> int -> int -> unit
 val store_bytes : view -> int -> Bytes.t -> int -> int -> unit
 val wtstore_bytes : view -> int -> Bytes.t -> int -> int -> unit
-val persist : view -> int -> int -> unit
-(** Flush all lines covering the range, then fence. *)
 
 val translate : view -> int -> int
 (** Virtual to physical (faulting the page in); exposed for tests. *)
 
-val wear_level : ?max_moves:int -> view -> threshold:float -> int
-(** Run one wear-leveling pass over the resident frames (see
-    {!Manager.wear_level}); stale translations are invalidated through
-    the eviction hook. *)
+val wear_level : view -> threshold:float -> int
+(** Run one wear-leveling pass over the resident frames, moving at most
+    64 pages (see {!Manager.wear_level}); stale translations are
+    invalidated through the eviction hook. *)
 
 (** {1 Shutdown} *)
 

@@ -11,11 +11,6 @@
     paper's idiom is "static persistent variables serve as pointers into
     dynamically allocated persistent regions". *)
 
-val capacity : int
-(** Maximum number of static variables (directory slots). *)
-
-val max_name_length : int
-
 val lookup : Pmem.view -> string -> (int * int) option
 (** [(addr, len)] if the variable exists. *)
 

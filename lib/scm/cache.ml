@@ -14,9 +14,10 @@
    cache-eviction determinism test in test_scm.ml checks the sequence
    against a reference model. *)
 
+let line_size = 64
+
 type t = {
   dev : Scm_device.t;
-  line_size : int;
   capacity : int;
   mask : int;  (* table size - 1; table size is a power of two *)
   keys : int array;  (* line base address, or -1 for an empty slot *)
@@ -27,7 +28,6 @@ type t = {
   obs : Obs.t;
   cp : Crashpoint.t;
   evict_ctr : Obs.Metrics.counter;
-  mutable evictions : int;
   mutable pmcheck : Pmcheck.t option;
       (* durability sanitizer, observing lines that reach the device;
          None (the default) costs one branch per write-back *)
@@ -46,17 +46,13 @@ type t = {
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
 
-let create ?(line_size = 64) ?(capacity_lines = 8192) ?(seed = 0xcafe) ?obs
-    ?cp dev =
-  if line_size <= 0 || line_size land 7 <> 0 then
-    invalid_arg "Cache.create: line_size";
+let create ?(capacity_lines = 8192) ?(seed = 0xcafe) ?obs ?cp dev =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let cp = match cp with Some c -> c | None -> Crashpoint.create () in
   let size = next_pow2 (2 * max 8 capacity_lines) 16 in
   let t =
     {
       dev;
-      line_size;
       capacity = capacity_lines;
       mask = size - 1;
       keys = Array.make size (-1);
@@ -67,7 +63,6 @@ let create ?(line_size = 64) ?(capacity_lines = 8192) ?(seed = 0xcafe) ?obs
       obs;
       cp;
       evict_ctr = Obs.Metrics.counter obs.Obs.metrics "scm.cache.evictions";
-      evictions = 0;
       pmcheck = None;
       members = Array.make (max 16 capacity_lines) (-1);
       nmembers = 0;
@@ -80,8 +75,7 @@ let create ?(line_size = 64) ?(capacity_lines = 8192) ?(seed = 0xcafe) ?obs
     (fun () -> t.nmembers);
   t
 
-let line_size t = t.line_size
-let line_base t addr = addr - (addr mod t.line_size)
+let line_base addr = addr land lnot (line_size - 1)
 
 (* Fibonacci hashing on the line base; any mix works (the table is an
    implementation detail), it just has to spread consecutive lines. *)
@@ -157,7 +151,7 @@ let set_owner t txid = t.cur_owner <- txid
 
 let write_back t base slot =
   Crashpoint.tick t.cp Crashpoint.Cache_writeback;
-  Scm_device.write_from t.dev base t.data.(slot) 0 t.line_size;
+  Scm_device.write_from t.dev base t.data.(slot) 0 line_size;
   t.dirty.(slot) <- false;
   (* Attribute the deferred write-back to the transaction that dirtied
      the line; only when tracing, so the common path stays one
@@ -168,7 +162,7 @@ let write_back t base slot =
   end;
   match t.pmcheck with
   | None -> ()
-  | Some chk -> Pmcheck.device_reach_line chk base t.line_size
+  | Some chk -> Pmcheck.device_reach_line chk base line_size
 
 let remove_line t slot =
   member_remove t slot;
@@ -180,7 +174,6 @@ let evict_one t =
     let slot = find_slot t victim in
     if t.dirty.(slot) then write_back t victim slot;
     remove_line t slot;
-    t.evictions <- t.evictions + 1;
     Obs.Metrics.incr t.evict_ctr;
     Obs.instant t.obs Obs.Trace.Cache_evict ~arg:victim
   end
@@ -196,14 +189,14 @@ let get_line t base =
     t.dirty.(slot) <- false;
     t.owner.(slot) <- 0;
     if Bytes.length t.data.(slot) = 0 then
-      t.data.(slot) <- Bytes.create t.line_size;
-    Scm_device.read_into t.dev base t.data.(slot) 0 t.line_size;
+      t.data.(slot) <- Bytes.create line_size;
+    Scm_device.read_into t.dev base t.data.(slot) 0 line_size;
     member_add t base slot;
     slot
   end
 
 let read_word t addr =
-  let base = line_base t addr in
+  let base = line_base addr in
   let slot = get_line t base in
   Word.get t.data.(slot) (addr - base)
 
@@ -213,13 +206,13 @@ let read_word t addr =
    whole region does not evict the working set or consume the eviction
    rng. *)
 let peek_word t addr =
-  let base = line_base t addr in
+  let base = line_base addr in
   let slot = find_slot t base in
   if slot >= 0 then Word.get t.data.(slot) (addr - base)
   else Scm_device.load64 t.dev (addr - (addr mod 8))
 
 let write_word t addr v =
-  let base = line_base t addr in
+  let base = line_base addr in
   let slot = get_line t base in
   Word.set t.data.(slot) (addr - base) v;
   t.dirty.(slot) <- true;
@@ -227,20 +220,20 @@ let write_word t addr v =
 
 let rec read_into t addr buf off len =
   if len > 0 then begin
-    let base = line_base t addr in
+    let base = line_base addr in
     let slot = get_line t base in
     let within = addr - base in
-    let n = min len (t.line_size - within) in
+    let n = min len (line_size - within) in
     Bytes.blit t.data.(slot) within buf off n;
     read_into t (addr + n) buf (off + n) (len - n)
   end
 
 let rec write_from t addr buf off len =
   if len > 0 then begin
-    let base = line_base t addr in
+    let base = line_base addr in
     let slot = get_line t base in
     let within = addr - base in
-    let n = min len (t.line_size - within) in
+    let n = min len (line_size - within) in
     Bytes.blit buf off t.data.(slot) within n;
     t.dirty.(slot) <- true;
     t.owner.(slot) <- t.cur_owner;
@@ -248,7 +241,7 @@ let rec write_from t addr buf off len =
   end
 
 let flush_line t addr =
-  let base = line_base t addr in
+  let base = line_base addr in
   let slot = find_slot t base in
   if slot < 0 then false
   else begin
@@ -259,21 +252,17 @@ let flush_line t addr =
   end
 
 let invalidate_line t addr =
-  let base = line_base t addr in
+  let base = line_base addr in
   let slot = find_slot t base in
   if slot >= 0 then remove_line t slot
 
-let is_dirty t addr =
-  let slot = find_slot t (line_base t addr) in
-  slot >= 0 && t.dirty.(slot)
-
 (* Write-back (if dirty) and invalidate in one probe: the streaming
-   store path runs this per word, and probing once instead of three
-   times (is_dirty / writeback_line / invalidate_line) is visible on
-   the commit microbench.  Semantics and crash-tick sequence are
-   exactly the composition of those three calls. *)
+   store path runs this per word, and probing once instead of twice
+   (writeback_line / invalidate_line) is visible on the commit
+   microbench.  Semantics and crash-tick sequence are exactly the
+   composition of those two calls. *)
 let wt_invalidate t addr =
-  let base = line_base t addr in
+  let base = line_base addr in
   let slot = find_slot t base in
   if slot >= 0 then begin
     if t.dirty.(slot) then write_back t base slot;
@@ -288,11 +277,8 @@ let dirty_lines t =
   done;
   List.sort (fun (a : int) b -> compare a b) !acc
 
-let resident_lines t = t.nmembers
-let evictions t = t.evictions
-
 let writeback_line t addr =
-  let base = line_base t addr in
+  let base = line_base addr in
   let slot = find_slot t base in
   if slot >= 0 && t.dirty.(slot) then write_back t base slot
 

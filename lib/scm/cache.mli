@@ -12,8 +12,10 @@
 
 type t
 
+val line_size : int
+(** 64: the bytes in one cache line. *)
+
 val create :
-  ?line_size:int ->
   ?capacity_lines:int ->
   ?seed:int ->
   ?obs:Obs.t ->
@@ -28,9 +30,8 @@ val create :
     eviction, or forced) ticks [cp] (default: a private disarmed
     counter). *)
 
-val line_size : t -> int
-val line_base : t -> int -> int
-(** [line_base t addr] is the address of the first byte of the line
+val line_base : int -> int
+(** [line_base addr] is the address of the first byte of the line
     containing [addr]. *)
 
 val read_word : t -> int -> int64
@@ -62,17 +63,11 @@ val invalidate_line : t -> int -> unit
 val wt_invalidate : t -> int -> unit
 (** [wt_invalidate t addr]: write the line containing [addr] back if it
     is dirty, then drop it — the coherence action of a streaming store,
-    equivalent to [is_dirty]/[writeback_line]/[invalidate_line] composed
-    but probing the table once.  No-op when the line is not resident. *)
+    equivalent to {!writeback_line} then {!invalidate_line} but probing
+    the table once.  No-op when the line is not resident. *)
 
-val is_dirty : t -> int -> bool
 val dirty_lines : t -> int list
 (** Addresses of all dirty lines, ascending; used by crash injection. *)
-
-val resident_lines : t -> int
-val evictions : t -> int
-(** Number of capacity evictions so far (each one silently persisted a
-    line — the "uncontrolled durability" hazard). *)
 
 val writeback_line : t -> int -> unit
 (** Force a specific line to the device, keeping it resident and clean.

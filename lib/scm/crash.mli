@@ -29,11 +29,8 @@ type wc_policy =
 
 type policy = { cache : cache_policy; wc : wc_policy }
 
-val default : policy
-(** [Evict_random 0.3] + [Wc_random_subset]: the adversarial default
-    used by crash tests. *)
-
 val inject : ?policy:policy -> Env.machine -> unit
-(** Apply the policy and wipe all volatile state.  Disarms the
+(** Apply the policy (by default the adversarial [Evict_random 0.3] +
+    [Wc_random_subset]) and wipe all volatile state.  Disarms the
     machine's crash point first, so injection itself cannot trigger a
     nested simulated crash. *)

@@ -12,26 +12,13 @@ type t = {
   mutable op : int;
   mutable target : int;  (* -1 = disarmed *)
   mutable crashed : bool;
-  (* the last kind is stored unboxed ([has_kind] distinguishes "none
-     yet"): {!tick} runs on every persistence operation and must not
-     allocate an option per call *)
-  mutable last_kind_raw : kind;
-  mutable has_kind : bool;
 }
 
-let create () =
-  {
-    op = 0;
-    target = -1;
-    crashed = false;
-    last_kind_raw = Wt_post;
-    has_kind = false;
-  }
+let create () = { op = 0; target = -1; crashed = false }
 
 let count t = t.op
 let target t = if t.target < 0 then None else Some t.target
 let crashed t = t.crashed
-let last_kind t = if t.has_kind then Some t.last_kind_raw else None
 
 let arm t ~at =
   if at < 1 then invalid_arg "Crashpoint.arm: op indices start at 1";
@@ -51,8 +38,6 @@ let tick t kind =
     raise (Simulated_crash { op = t.op; kind })
   else begin
     t.op <- t.op + 1;
-    t.last_kind_raw <- kind;
-    t.has_kind <- true;
     if t.op = t.target then begin
       t.crashed <- true;
       raise (Simulated_crash { op = t.op; kind })

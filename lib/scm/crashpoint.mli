@@ -38,7 +38,6 @@ val count : t -> int
 
 val target : t -> int option
 val crashed : t -> bool
-val last_kind : t -> kind option
 
 val arm : t -> at:int -> unit
 (** Crash when the [at]-th operation (1-based, counting from the

@@ -92,9 +92,11 @@ type log_state = {
       (* addrs covered by undo records of the open eager transaction *)
 }
 
+(* Violations retained for {!violations}; later ones are only counted. *)
+let max_keep = 256
+
 type t = {
   lint_fences : bool;
-  max_keep : int;
   obs : Obs.t;
   cp : Crashpoint.t;
   state : Imap.Int.t;
@@ -104,7 +106,6 @@ type t = {
   mutable total : int;
   mutable kept : violation list;  (* newest first, bounded by max_keep *)
   mutable nkept : int;
-  mutable noop_fences : int;
   ctr_write_ahead : Obs.Metrics.counter;
   ctr_unlogged : Obs.Metrics.counter;
   ctr_uninit : Obs.Metrics.counter;
@@ -114,11 +115,10 @@ type t = {
   ctr_fence_noop : Obs.Metrics.counter;
 }
 
-let create ?(lint_fences = false) ?(max_keep = 256) ~obs ~cp ~nframes () =
+let create ?(lint_fences = false) ~obs ~cp ~nframes () =
   let c name = Obs.Metrics.counter obs.Obs.metrics ("pmcheck." ^ name) in
   {
     lint_fences;
-    max_keep;
     obs;
     cp;
     state = Imap.Int.create ~initial:4096 ();
@@ -128,7 +128,6 @@ let create ?(lint_fences = false) ?(max_keep = 256) ~obs ~cp ~nframes () =
     total = 0;
     kept = [];
     nkept = 0;
-    noop_fences = 0;
     ctr_write_ahead = c "violation.write_ahead";
     ctr_unlogged = c "violation.unlogged_store";
     ctr_uninit = c "violation.uninit_read";
@@ -149,7 +148,7 @@ let counter_of t = function
 let violate t kind ~addr detail =
   Obs.Metrics.incr (counter_of t kind);
   t.total <- t.total + 1;
-  if t.nkept < t.max_keep then begin
+  if t.nkept < max_keep then begin
     t.kept <-
       {
         kind;
@@ -165,7 +164,6 @@ let violate t kind ~addr detail =
 
 let violations t = List.rev t.kept
 let total_violations t = t.total
-let noop_fences t = t.noop_fences
 
 (* ------------------------------------------------------------------ *)
 (* Shadow-state plumbing                                               *)
@@ -175,7 +173,7 @@ let[@inline] get t a =
   if s < 0 then 0 else s
 
 let[@inline] set t a s = Imap.Int.set t.state a s
-let page_size = 4096
+let page_size = Scm_device.frame_size
 
 let note_mapping t ~vpage ~frame =
   if frame >= 0 && frame < Array.length t.frame_vpage then
@@ -306,7 +304,6 @@ let device_reach_line t pa line_size =
 
 let note_fence t ~pending_words =
   if pending_words = 0 && not t.work_since_fence then begin
-    t.noop_fences <- t.noop_fences + 1;
     Obs.Metrics.incr t.ctr_fence_noop;
     if t.lint_fences then
       violate t Redundant_fence ~addr:0

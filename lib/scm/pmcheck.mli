@@ -46,7 +46,6 @@ type t
 
 val create :
   ?lint_fences:bool ->
-  ?max_keep:int ->
   obs:Obs.t ->
   cp:Crashpoint.t ->
   nframes:int ->
@@ -57,13 +56,10 @@ val kind_name : kind -> string
 val render : violation -> string
 
 val violations : t -> violation list
-(** Retained violations, oldest first (bounded by [max_keep]). *)
+(** Retained violations, oldest first: the first 256. *)
 
 val total_violations : t -> int
-(** All violations observed, including ones beyond [max_keep]. *)
-
-val noop_fences : t -> int
-(** Fences that ordered nothing (counted even without [lint_fences]). *)
+(** All violations observed, including ones beyond the first 256. *)
 
 (** {1 Hooks} -- called by the layers that own each event. *)
 

@@ -173,11 +173,11 @@ let store_bytes (env : Env.t) addr buf off len =
   if Wc_buffer.pending_words env.wc > 0 then begin
     (* Any overlap between the range and pending streaming stores
        triggers a spontaneous drain, as in [store]. *)
-    let a = ref (addr land lnot 63) in
+    let a = ref (Cache.line_base addr) in
     let overlap = ref false in
     while (not !overlap) && !a < addr + len do
       if Wc_buffer.pending_in_line env.wc !a then overlap := true;
-      a := !a + 64
+      a := !a + Cache.line_size
     done;
     if !overlap then Wc_buffer.drain env.wc
   end;
@@ -194,13 +194,11 @@ let wtstore_bytes (env : Env.t) addr buf off len =
 
 let persist (env : Env.t) addr len =
   if len > 0 then begin
-    let line = Cache.line_size env.machine.cache in
-    let first = Cache.line_base env.machine.cache addr in
-    let last = Cache.line_base env.machine.cache (addr + len - 1) in
-    let a = ref first in
+    let last = Cache.line_base (addr + len - 1) in
+    let a = ref (Cache.line_base addr) in
     while !a <= last do
       flush env !a;
-      a := !a + line
+      a := !a + Cache.line_size
     done;
     fence env
   end

@@ -1,7 +1,7 @@
+let frame_size = 4096
+
 type t = {
   arena : Bytes.t;
-  frame_size : int;
-  fshift : int;  (* log2 frame_size, or -1 if not a power of two *)
   nframes : int;
   writes : int array;  (* per-frame wear counters *)
   mutable total_writes : int;
@@ -23,28 +23,10 @@ type t = {
 
 type mark = { m_n : int; m_blen : int }
 
-(* Wear accounting runs on every persistent write; for the usual
-   power-of-two frame size the frame index is a shift, not an integer
-   division (the divisor is a runtime value, so the compiler cannot
-   strength-reduce it). *)
-let shift_of frame_size =
-  if frame_size land (frame_size - 1) <> 0 then -1
-  else begin
-    let s = ref 0 in
-    while 1 lsl !s < frame_size do
-      incr s
-    done;
-    !s
-  end
-
-let create ?(frame_size = 4096) ~nframes () =
+let create ~nframes () =
   if nframes <= 0 then invalid_arg "Scm_device.create: nframes";
-  if frame_size <= 0 || frame_size land 7 <> 0 then
-    invalid_arg "Scm_device.create: frame_size";
   {
     arena = Bytes.make (nframes * frame_size) '\000';
-    frame_size;
-    fshift = shift_of frame_size;
     nframes;
     writes = Array.make nframes 0;
     total_writes = 0;
@@ -58,20 +40,17 @@ let create ?(frame_size = 4096) ~nframes () =
     j_blen = 0;
   }
 
-let frame_size t = t.frame_size
 let nframes t = t.nframes
-let size_bytes t = t.nframes * t.frame_size
 
 let check t addr len =
   if addr < 0 || addr + len > Bytes.length t.arena then
     invalid_arg
       (Printf.sprintf "Scm_device: address %#x+%d out of range" addr len)
 
-let[@inline] frame_of t addr =
-  if t.fshift >= 0 then addr lsr t.fshift else addr / t.frame_size
+let[@inline] frame_of addr = addr / frame_size
 
 let[@inline] bump t addr =
-  let f = frame_of t addr in
+  let f = frame_of addr in
   t.writes.(f) <- t.writes.(f) + 1;
   t.total_writes <- t.total_writes + 1
 
@@ -110,11 +89,6 @@ let journal_start t =
   t.j_n <- 0;
   t.j_blen <- 0
 
-let journal_stop t =
-  t.j_on <- false;
-  t.j_n <- 0;
-  t.j_blen <- 0
-
 let journal_mark t = { m_n = t.j_n; m_blen = t.j_blen }
 
 let journal_undo_to t mark =
@@ -139,20 +113,16 @@ let store64 t addr v =
   check t addr 8;
   if not (Word.is_aligned addr) then
     invalid_arg (Printf.sprintf "Scm_device.store64: unaligned %#x" addr);
-  if t.j_on then j_record t addr 8 (frame_of t addr);
+  if t.j_on then j_record t addr 8 (frame_of addr);
   Word.set t.arena addr v;
   bump t addr
 
 (* For drain loops over addresses already validated at post time (the
    write-combining buffer checks alignment and range on entry). *)
 let[@inline] store64_unchecked t addr v =
-  if t.j_on then j_record t addr 8 (frame_of t addr);
+  if t.j_on then j_record t addr 8 (frame_of addr);
   Word.set t.arena addr v;
   bump t addr
-
-let load_byte t addr =
-  check t addr 1;
-  Bytes.get t.arena addr
 
 let read_into t addr buf off len =
   check t addr len;
@@ -161,7 +131,7 @@ let read_into t addr buf off len =
 let write_from t addr buf off len =
   check t addr len;
   if len > 0 then begin
-    if t.j_on then j_record t addr len (frame_of t addr);
+    if t.j_on then j_record t addr len (frame_of addr);
     Bytes.blit buf off t.arena addr len;
     bump t addr
   end
@@ -177,7 +147,7 @@ let save_image t path =
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc magic;
-      output_binary_int oc t.frame_size;
+      output_binary_int oc frame_size;
       output_binary_int oc t.nframes;
       output_bytes oc t.arena)
 
@@ -188,17 +158,22 @@ let load_image path =
     (fun () ->
       let m = really_input_string ic (String.length magic) in
       if m <> magic then failwith "Scm_device.load_image: bad magic";
-      let frame_size = input_binary_int ic in
+      let fs = input_binary_int ic in
+      if fs <> frame_size then
+        failwith
+          (Printf.sprintf "Scm_device.load_image: frame size %d, not %d" fs
+             frame_size);
       let nframes = input_binary_int ic in
-      let t = create ~frame_size ~nframes () in
+      let bytes = in_channel_length ic - pos_in ic in
+      if nframes <= 0 || bytes <> nframes * frame_size then
+        failwith "Scm_device.load_image: length does not match nframes";
+      let t = create ~nframes () in
       really_input ic t.arena 0 (Bytes.length t.arena);
       t)
 
 let copy t =
   {
     arena = Bytes.copy t.arena;
-    frame_size = t.frame_size;
-    fshift = t.fshift;
     nframes = t.nframes;
     writes = Array.copy t.writes;
     total_writes = t.total_writes;

@@ -15,13 +15,14 @@
 
 type t
 
-val create : ?frame_size:int -> nframes:int -> unit -> t
-(** [create ~nframes ()] makes a zeroed device of [nframes] frames of
-    [frame_size] (default 4096) bytes. *)
+val frame_size : int
+(** 4096: the bytes in one frame, and so in one page of the persistent
+    address space. *)
 
-val frame_size : t -> int
+val create : nframes:int -> unit -> t
+(** [create ~nframes ()] makes a zeroed device of [nframes] frames. *)
+
 val nframes : t -> int
-val size_bytes : t -> int
 
 val load64 : t -> int -> int64
 (** [load64 t addr] reads the aligned word at physical byte address
@@ -35,7 +36,6 @@ val store64_unchecked : t -> int -> int64 -> unit
     drain loops over addresses that were validated when first posted
     (out-of-range still raises, from the underlying bounds checks). *)
 
-val load_byte : t -> int -> char
 val read_into : t -> int -> Bytes.t -> int -> int -> unit
 (** [read_into t addr buf off len] copies [len] device bytes at [addr]
     into [buf] starting at [off]. *)
@@ -55,7 +55,9 @@ val save_image : t -> string -> unit
 (** Persist the full arena (and geometry) to a file. *)
 
 val load_image : string -> t
-(** Reconstruct a device from a saved image. *)
+(** Reconstruct a device from a saved image.  Raises [Failure] unless
+    the file is one {!save_image} wrote: the magic, a header frame size
+    of {!frame_size}, and exactly [nframes] frames of data. *)
 
 val copy : t -> t
 (** A snapshot of the device; used by tests that compare pre/post-crash
@@ -78,9 +80,6 @@ type mark
 
 val journal_start : t -> unit
 (** Enable journaling (discarding any previous journal contents). *)
-
-val journal_stop : t -> unit
-(** Disable journaling and discard the journal. *)
 
 val journal_mark : t -> mark
 (** The current journal position.  Marks taken later are nested inside

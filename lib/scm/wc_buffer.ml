@@ -24,8 +24,6 @@ type t = {
          default) costs one branch per drain *)
 }
 
-let line_shift = 6
-
 let create ?obs ?cp dev =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let cp = match cp with Some c -> c | None -> Crashpoint.create () in
@@ -73,9 +71,9 @@ let lookup t addr =
   if !i < 0 then None else Some (Bytes.get_int64_le t.o_vals (!i * 8))
 
 let pending_in_line t addr =
-  let line = addr lsr line_shift in
+  let line = Cache.line_base addr in
   let i = ref (t.n - 1) in
-  while !i >= 0 && t.o_addrs.(!i) lsr line_shift <> line do
+  while !i >= 0 && Cache.line_base t.o_addrs.(!i) <> line do
     decr i
   done;
   !i >= 0

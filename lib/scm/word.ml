@@ -1,5 +1,3 @@
-let bytes_per_word = 8
-
 let is_aligned addr = addr land 7 = 0
 
 let align_up n = (n + 7) land lnot 7

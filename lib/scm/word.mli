@@ -5,9 +5,6 @@
     speaks in these words, so the bit-twiddling used by the tornbit RAWL
     and the packed head words lives here. *)
 
-val bytes_per_word : int
-(** 8. *)
-
 val is_aligned : int -> bool
 (** [is_aligned addr] is true when [addr] is 8-byte aligned. *)
 

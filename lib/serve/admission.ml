@@ -1,9 +1,5 @@
 type reason = Queue_full | Log_pressure
 
-let reason_name = function
-  | Queue_full -> "queue_full"
-  | Log_pressure -> "log_pressure"
-
 type config = { queue_cap : int; log_high_pct : int; boost_pct : int }
 
 (* All gates off: every request is admitted and a full RAWL is
@@ -37,8 +33,6 @@ let set_race t h = t.race <- h
 
 let[@inline] race_rmw t label =
   match t.race with None -> () | Some hk -> hk.Race_api.rmw label
-
-let config t = t.cfg
 
 let over pct ~used ~cap = pct > 0 && used * 100 >= pct * cap
 

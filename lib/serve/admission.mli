@@ -26,9 +26,6 @@
 
 type reason = Queue_full | Log_pressure
 
-val reason_name : reason -> string
-(** ["queue_full"] / ["log_pressure"]. *)
-
 type config = {
   queue_cap : int;  (** Per-tenant queue bound; 0 = unbounded. *)
   log_high_pct : int;  (** Shed at this RAWL occupancy; 0 = gate off. *)
@@ -46,8 +43,6 @@ type t
 val make : config -> t
 (** Raises [Invalid_argument] on a negative cap or a percentage outside
     [0, 100]. *)
-
-val config : t -> config
 
 val admit_enqueue : t -> queue_len:int -> (unit, reason) result
 (** Decide a request arriving at a tenant queue currently [queue_len]

@@ -78,13 +78,10 @@ type stats = {
   tenant_p99_us : float array;
 }
 
-val tenant_root : int -> string
-(** The pstatic name rooting tenant [t]'s B+ tree, ["serve.tenant.NN"]
-    — the per-tenant region layout contract shared with
-    [regionctl stats]. *)
-
 val tenant_root_prefix : string
-(** ["serve.tenant."], for offline discovery of tenant roots. *)
+(** ["serve.tenant."]: tenant [t]'s B+ tree is rooted at the pstatic
+    ["serve.tenant.NN"] — the per-tenant region layout contract shared
+    with [regionctl stats], for offline discovery of tenant roots. *)
 
 val run :
   ?sim:Sim.t -> ?geometry:Mnemosyne.geometry -> dir:string -> config -> stats

@@ -85,7 +85,6 @@ module Schedule = struct
 
   let policy t = t.policy
   let seed t = t.seed
-  let is_replay t = t.replay
   let decisions t = if t.replay then t.ki else Ibuf.length t.keys
   let rng_draws t = if t.replay then t.di else Ibuf.length t.draw_vals
 
@@ -463,7 +462,6 @@ type t = {
   mutable clock : int;
   mutable seq : int;
   events : Events.t;
-  mutable started : int;
   mutable suspended : int;  (* processes parked via [park] *)
   sched : Schedule.t;
   mutable cur_proc : int;  (* process whose event is executing;
@@ -496,10 +494,8 @@ type _ Effect.t +=
   | Park : int option * ((unit -> unit) -> unit) -> unit Effect.t
 
 let now t = t.clock
-let schedule_of t = t.sched
 let current_proc t = t.cur_proc
 let set_race t h = t.race <- h
-let race_of t = t.race
 
 let sync_label t prefix =
   let n = t.nsync in
@@ -561,7 +557,6 @@ let create ?schedule () =
       clock = 0;
       seq = 0;
       events = Events.create ();
-      started = 0;
       suspended = 0;
       sched;
       cur_proc = -1;
@@ -636,7 +631,6 @@ let spawn t body =
   | None -> ());
   ignore
     (schedule_thunk t ~proc t.clock (fun () ->
-         t.started <- t.started + 1;
          Effect.Deep.match_with body () t.handler))
 
 let rec run_events t =
@@ -690,8 +684,6 @@ let run ?until t =
       outside ();
       Printexc.raise_with_backtrace e bt
 
-let processes_run t = t.started
-
 module Mutex_r = struct
   type sim = t
 
@@ -700,7 +692,6 @@ module Mutex_r = struct
     label : string;  (* race-detector sync object *)
     mutable locked : bool;
     waiters : (unit -> unit) Queue.t;
-    mutable contentions : int;
   }
 
   let create sim =
@@ -709,33 +700,20 @@ module Mutex_r = struct
       label = sync_label sim "mutex";
       locked = false;
       waiters = Queue.create ();
-      contentions = 0;
     }
 
   (* HB edges: [unlock] releases the holder's clock into the mutex's
-     sync clock, [lock]/[try_lock] acquire it on success.  The
-     contended handoff additionally rides the suspend/resume transfer
-     edge, but the release/acquire pair is what orders a later
-     uncontended lock after an earlier unlocker. *)
-  let acquired m =
-    match m.sim.race with Some h -> h.acquire m.label | None -> ()
-
+     sync clock, [lock] acquires it.  The contended handoff
+     additionally rides the suspend/resume transfer edge, but the
+     release/acquire pair is what orders a later uncontended lock after
+     an earlier unlocker. *)
   let lock m =
     if not m.locked then m.locked <- true
     else begin
-      m.contentions <- m.contentions + 1;
       suspend m.sim (fun resume -> Queue.push resume m.waiters)
       (* The unlocker hands us ownership directly: [locked] stays true. *)
     end;
-    acquired m
-
-  let try_lock m =
-    if m.locked then false
-    else begin
-      m.locked <- true;
-      acquired m;
-      true
-    end
+    match m.sim.race with Some h -> h.acquire m.label | None -> ()
 
   let unlock m =
     if not m.locked then invalid_arg "Mutex_r.unlock: not locked";
@@ -743,9 +721,6 @@ module Mutex_r = struct
     match Queue.take_opt m.waiters with
     | Some resume -> resume ()  (* ownership transfers; stays locked *)
     | None -> m.locked <- false
-
-  let holder_waiters m = (if m.locked then 1 else 0) + Queue.length m.waiters
-  let contentions m = m.contentions
 
   let with_lock m f =
     lock m;
@@ -846,10 +821,6 @@ module Cond_r = struct
     Mutex_r.unlock m;
     suspend c.sim (fun resume -> Queue.push resume c.waiters);
     Mutex_r.lock m
-
-  let signal c = match Queue.take_opt c.waiters with
-    | Some resume -> resume ()
-    | None -> ()
 
   let broadcast c =
     let all = Queue.to_seq c.waiters |> List.of_seq in

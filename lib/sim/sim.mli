@@ -60,9 +60,6 @@ module Schedule : sig
   val policy : t -> policy
   val seed : t -> int
 
-  val is_replay : t -> bool
-  (** True for schedules built by {!load}. *)
-
   val policy_name : policy -> string
   (** ["fifo"] / ["shuffle"] / ["priority"]. *)
 
@@ -121,9 +118,6 @@ val create : ?schedule:Schedule.t -> unit -> t
 val now : t -> int
 (** Current simulated time in nanoseconds. *)
 
-val schedule_of : t -> Schedule.t
-(** The schedule this simulator draws its tiebreak decisions from. *)
-
 val current_proc : t -> int
 (** The process whose event is executing, or [-1] outside any process
     (before {!run}, and between/after runs).  This is the fiber id the
@@ -134,12 +128,9 @@ val set_race : t -> Race_api.hooks option -> unit
     section 18).  When installed, the simulator fires [fork] at {!spawn},
     [transfer] when a parked process is resumed (not when its timeout
     expires), and release/acquire edges through {!Mutex_r} ownership and
-    {!Service} wake tokens.  Plain {!yield}/{!delay} fire nothing: being
-    scheduled after someone is not synchronization.  [None] (the default)
+    {!Service} wake tokens.  A plain {!delay}, zero-length or not, fires
+    nothing: being scheduled after someone is not synchronization.  [None] (the default)
     keeps every hook site a single never-taken branch. *)
-
-val race_of : t -> Race_api.hooks option
-(** The installed hooks, for layers that piggyback on the sim's. *)
 
 val spawn : t -> (unit -> unit) -> unit
 (** Register a process to start at the current simulated time.  The
@@ -148,9 +139,6 @@ val spawn : t -> (unit -> unit) -> unit
 val delay : t -> int -> unit
 (** Advance this process's clock by [ns], yielding to any process
     scheduled earlier.  Must be called from inside a process. *)
-
-val yield : t -> unit
-(** [delay t 0]: give same-time processes a chance to run. *)
 
 val park : ?timeout:int -> ((unit -> unit) -> unit) -> unit
 (** [park ?timeout register] parks the current process and calls
@@ -177,9 +165,6 @@ val run : ?until:int -> t -> unit
     exceed [until]).  Re-entrant with respect to [spawn]: processes may
     spawn more processes. *)
 
-val processes_run : t -> int
-(** Number of process bodies started so far (for tests). *)
-
 exception Deadlock of string
 (** Raised by {!run} when processes remain suspended with no pending
     events — every remaining process is blocked on a resource that
@@ -195,13 +180,6 @@ module Mutex_r : sig
   val create : sim -> t
   val lock : t -> unit
   val unlock : t -> unit
-  val try_lock : t -> bool
-  val holder_waiters : t -> int
-  (** Queue length including holder. *)
-
-  val contentions : t -> int
-  (** Lock calls that had to wait. *)
-
   val with_lock : t -> (unit -> 'a) -> 'a
 end
 
@@ -213,7 +191,8 @@ end
 
     Protocol: [work ()] performs at most one unit and answers whether
     it did anything.  While it answers [true] the daemon loops (with a
-    {!yield} between units so same-time producers interleave); on
+    zero-length {!delay} between units so same-time producers
+    interleave); on
     [false] it parks until {!wake}.  A {!wake} against a running daemon
     leaves a token consumed before the next park, so wake-ups are never
     lost.  {!stop} drains remaining work ([work] until [false]) and
@@ -253,7 +232,6 @@ module Cond_r : sig
   (** Atomically release the mutex and park; re-acquires before
       returning. *)
 
-  val signal : t -> unit
   val broadcast : t -> unit
 end
 

@@ -6,18 +6,8 @@ let uniform_int t n = Random.State.int t n
 
 let seq_key i = Bytes.of_string (Printf.sprintf "k%08d" i)
 
-let key t ~space = seq_key (Random.State.int t space)
-
 let value t n =
   Bytes.init n (fun _ -> Char.chr (32 + Random.State.int t 95))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = Random.State.int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
 
 module Zipf = struct
   type dist = { rng : Random.State.t; cdf : float array }

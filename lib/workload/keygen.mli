@@ -8,17 +8,11 @@ val create : ?seed:int -> unit -> t
 val uniform_int : t -> int -> int
 (** Uniform in [0, n). *)
 
-val key : t -> space:int -> Bytes.t
-(** A key "kNNNNNNNN" drawn uniformly from a space of [space] distinct
-    keys. *)
-
 val seq_key : int -> Bytes.t
 (** The [i]-th sequential key (loading phases). *)
 
 val value : t -> int -> Bytes.t
 (** A pseudo-random value of exactly [n] bytes. *)
-
-val shuffle : t -> 'a array -> unit
 
 (** Zipf-distributed ranks (hot keys), for skewed workloads. *)
 module Zipf : sig

@@ -29,8 +29,6 @@ let table ~header rows =
 
 let note s = Printf.printf "   %s\n" s
 
-let us v = Printf.sprintf "%.1f us" v
-
 let group_thousands s =
   let n = String.length s in
   let buf = Buffer.create (n + (n / 3)) in
@@ -42,5 +40,3 @@ let group_thousands s =
   Buffer.contents buf
 
 let ops v = group_thousands (Printf.sprintf "%.0f" v) ^ "/s"
-
-let mbs v = Printf.sprintf "%.0f MB/s" v

@@ -11,11 +11,5 @@ val table : header:string list -> string list list -> unit
 val note : string -> unit
 (** An indented free-text note under a section. *)
 
-val us : float -> string
-(** Format a microsecond quantity, e.g. ["4.3 us"]. *)
-
 val ops : float -> string
 (** Format an operations-per-second quantity with thousands grouping. *)
-
-val mbs : float -> string
-(** Format MB/s. *)

@@ -123,7 +123,6 @@ let test_page_cache_eviction_writes_back () =
   Alcotest.(check bool) "evictions wrote back" true
     (Baseline.Pcm_disk.blocks_written disk >= 4);
   (* every page must read back its byte, possibly from disk *)
-  Baseline.Page_cache.flush_all cache e;
   for p = 0 to 7 do
     let page = Baseline.Page_cache.get cache e p in
     Alcotest.(check char)
@@ -227,8 +226,6 @@ let test_msync_functional_and_costs () =
     (Baseline.Msync_store.get store e (k "a"));
   Alcotest.(check bool) "write amplification bites large values" true
     (big > 5 * small);
-  Alcotest.(check bool) "torn window exposed" true
-    (Baseline.Msync_store.torn_window_pages store > 0);
   Alcotest.(check bool) "delete" true (Baseline.Msync_store.delete store e (k "a"));
   Alcotest.(check int) "length" 1 (Baseline.Msync_store.length store)
 

@@ -164,7 +164,12 @@ let test_redundant_fence () =
       Alcotest.(check bool) "flagged" true (Pm.total_violations chk > n0);
       Alcotest.(check bool) "classified as redundant_fence" true
         (has_kind chk Pm.Redundant_fence);
-      Alcotest.(check bool) "noop fences counted" true (Pm.noop_fences chk > 0))
+      let noop =
+        Obs.Metrics.counter (Mnemosyne.obs inst).Obs.metrics
+          "pmcheck.fence.ordered_nothing"
+      in
+      Alcotest.(check bool) "noop fences counted" true
+        (Obs.Metrics.counter_value noop > 0))
 
 let test_sanitizer_silent_on_clean_run () =
   with_sanitized (fun inst chk ->

@@ -389,83 +389,6 @@ let test_bp_survives_reincarnation () =
           done))
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue *)
-
-let test_pqueue_fifo () =
-  with_tmpdir (fun dir ->
-      let t = open_inst dir in
-      let slot = Mnemosyne.pstatic t "q" 8 in
-      Mnemosyne.atomically t (fun tx ->
-          let q = Pstruct.Pqueue.create tx ~slot in
-          Alcotest.(check (option bytes)) "empty pop" None
-            (Pstruct.Pqueue.pop tx q);
-          Pstruct.Pqueue.push tx q (b "a");
-          Pstruct.Pqueue.push tx q (b "bb");
-          Pstruct.Pqueue.push tx q (b "ccc");
-          Alcotest.(check int) "length" 3 (Pstruct.Pqueue.length tx q);
-          Alcotest.(check (option bytes)) "peek" (Some (b "a"))
-            (Pstruct.Pqueue.peek tx q);
-          Alcotest.(check (option bytes)) "fifo 1" (Some (b "a"))
-            (Pstruct.Pqueue.pop tx q);
-          Alcotest.(check (option bytes)) "fifo 2" (Some (b "bb"))
-            (Pstruct.Pqueue.pop tx q);
-          Pstruct.Pqueue.push tx q (b "dddd");
-          Alcotest.(check (option bytes)) "fifo 3" (Some (b "ccc"))
-            (Pstruct.Pqueue.pop tx q);
-          Alcotest.(check (option bytes)) "fifo 4" (Some (b "dddd"))
-            (Pstruct.Pqueue.pop tx q);
-          Alcotest.(check (option bytes)) "drained" None
-            (Pstruct.Pqueue.pop tx q);
-          Alcotest.(check int) "empty again" 0 (Pstruct.Pqueue.length tx q)))
-
-let prop_pqueue_model =
-  QCheck.Test.make ~name:"pqueue matches Queue model across crashes"
-    ~count:12
-    QCheck.(
-      pair (int_bound 1000)
-        (list_of_size Gen.(10 -- 80) (pair bool (string_of_size Gen.(0 -- 20)))))
-    (fun (seed, ops) ->
-      with_tmpdir (fun dir ->
-          let inst = ref (Mnemosyne.open_instance ~seed ~dir ()) in
-          let model : string Queue.t = Queue.create () in
-          let slot = Mnemosyne.pstatic !inst "q" 8 in
-          ignore
-            (Mnemosyne.atomically !inst (fun tx ->
-                 Pstruct.Pqueue.create tx ~slot));
-          List.iteri
-            (fun i (is_pop, payload) ->
-              let t = !inst in
-              let slot = Mnemosyne.pstatic t "q" 8 in
-              Mnemosyne.atomically t (fun tx ->
-                  let q =
-                    Pstruct.Pqueue.attach tx
-                      ~root:(Int64.to_int (Mtm.Txn.load tx slot))
-                  in
-                  if is_pop then begin
-                    let got = Pstruct.Pqueue.pop tx q in
-                    let expect =
-                      if Queue.is_empty model then None
-                      else Some (Bytes.of_string (Queue.pop model))
-                    in
-                    if got <> expect then failwith "pop mismatch"
-                  end
-                  else begin
-                    Pstruct.Pqueue.push tx q (b payload);
-                    Queue.push payload model
-                  end);
-              (* crash every dozen operations *)
-              if i mod 12 = 11 then inst := Mnemosyne.reincarnate t)
-            ops;
-          Mnemosyne.atomically !inst (fun tx ->
-              let q =
-                Pstruct.Pqueue.attach tx
-                  ~root:
-                    (Int64.to_int
-                       (Mtm.Txn.load tx (Mnemosyne.pstatic !inst "q" 8)))
-              in
-              Pstruct.Pqueue.length tx q = Queue.length model)))
-
-(* ------------------------------------------------------------------ *)
 (* Shadow tree (shadow updates, no transactions) *)
 
 let pview t = Mnemosyne.view t
@@ -565,59 +488,6 @@ let test_shadow_leak_reclaimed_after_crash () =
       Alcotest.(check int) "no arena leak under churn" 10
         (Pstruct.Shadow_tree.live_nodes st2))
 
-(* ------------------------------------------------------------------ *)
-(* Pextent (append updates) *)
-
-let test_pextent_basic () =
-  with_tmpdir (fun dir ->
-      let t = open_inst dir in
-      let v = pview t in
-      let base = Mnemosyne.pmap t 4096 in
-      let e = Pstruct.Pextent.create v ~base ~len:4096 in
-      Pstruct.Pextent.append e (b "alpha");
-      Pstruct.Pextent.append e (b "beta!");
-      Alcotest.(check int) "records" 2 (Pstruct.Pextent.records e);
-      Alcotest.(check (list bytes)) "contents" [ b "alpha"; b "beta!" ]
-        (Pstruct.Pextent.to_list e);
-      Pstruct.Pextent.reset e;
-      Alcotest.(check int) "after reset" 0 (Pstruct.Pextent.records e))
-
-let test_pextent_incomplete_append_discarded () =
-  with_tmpdir (fun dir ->
-      let t = open_inst dir in
-      let v = pview t in
-      let base = Mnemosyne.pmap t 4096 in
-      let e = Pstruct.Pextent.create v ~base ~len:4096 in
-      Pstruct.Pextent.append e (b "durable");
-      (* hand-craft an in-flight append: data streamed, tail never
-         published, then the machine dies *)
-      let tail = Pstruct.Pextent.used_bytes e in
-      Region.Pmem.wtstore v (base + 32 + tail) 5L;
-      Region.Pmem.wtstore v (base + 32 + tail + 8)
-        (Scm.Word.of_string_chunk "торн!" 0);
-      Scm.Crash.inject (Mnemosyne.machine t);
-      let t2 =
-        let dev_path = Filename.concat dir "scm.img" in
-        Scm.Scm_device.save_image (Mnemosyne.machine t).dev dev_path;
-        Mnemosyne.open_instance ~dir ()
-      in
-      let e2 = Pstruct.Pextent.attach (Mnemosyne.view t2) ~base in
-      Alcotest.(check (list bytes)) "only the published record"
-        [ b "durable" ]
-        (Pstruct.Pextent.to_list e2))
-
-let prop_pextent_roundtrip =
-  QCheck.Test.make ~name:"pextent appends round-trip" ~count:30
-    QCheck.(small_list (string_of_size Gen.(0 -- 100)))
-    (fun items ->
-      with_tmpdir (fun dir ->
-          let t = open_inst dir in
-          let v = pview t in
-          let base = Mnemosyne.pmap t 65536 in
-          let e = Pstruct.Pextent.create v ~base ~len:65536 in
-          List.iter (fun s -> Pstruct.Pextent.append e (b s)) items;
-          Pstruct.Pextent.to_list e = List.map b items))
-
 let () =
   Alcotest.run "pstruct"
     [
@@ -646,11 +516,6 @@ let () =
             test_rb_payload_roundtrip;
           QCheck_alcotest.to_alcotest prop_rb_model;
         ] );
-      ( "pqueue",
-        [
-          Alcotest.test_case "fifo" `Quick test_pqueue_fifo;
-          QCheck_alcotest.to_alcotest prop_pqueue_model;
-        ] );
       ( "shadow",
         [
           Alcotest.test_case "basic" `Quick test_shadow_basic;
@@ -658,13 +523,6 @@ let () =
             test_shadow_crash_old_or_new_never_mixed;
           Alcotest.test_case "leaks reclaimed after crash" `Quick
             test_shadow_leak_reclaimed_after_crash;
-        ] );
-      ( "pextent",
-        [
-          Alcotest.test_case "basic" `Quick test_pextent_basic;
-          Alcotest.test_case "incomplete append discarded" `Quick
-            test_pextent_incomplete_append_discarded;
-          QCheck_alcotest.to_alcotest prop_pextent_roundtrip;
         ] );
       ( "bp",
         [

@@ -59,8 +59,8 @@ let test_manager_format_boot_roundtrip () =
       let mgr = Region.Manager.format m backing in
       let env = Scm.Env.standalone m in
       let inode = Region.Backing_store.create_file backing () in
-      let f1 = Region.Manager.alloc_fresh mgr env ~inode ~page_off:0 in
-      let f2 = Region.Manager.alloc_fresh mgr env ~inode ~page_off:1 in
+      let f1 = Region.Manager.fault_in mgr env ~inode ~page_off:0 in
+      let f2 = Region.Manager.fault_in mgr env ~inode ~page_off:1 in
       Alcotest.(check bool) "distinct frames" true (f1 <> f2);
       (* write something durable into the frame *)
       Scm.Scm_device.store64 m.dev (f1 * 4096) 4242L;
@@ -325,7 +325,7 @@ let test_duplicate_mapping_resolved_at_boot () =
       let mgr = Region.Manager.format m backing in
       let env = Scm.Env.standalone m in
       let inode = Region.Backing_store.create_file backing () in
-      let f1 = Region.Manager.alloc_fresh mgr env ~inode ~page_off:0 in
+      let f1 = Region.Manager.fault_in mgr env ~inode ~page_off:0 in
       Scm.Scm_device.store64 m.dev (f1 * 4096) 777L;
       (* duplicate the mapping onto another frame with the same data *)
       let table = Region.Mapping_table.create m.dev in

@@ -52,6 +52,34 @@ let test_device_image_roundtrip () =
       (Scm_device.load64 dev' (i * 8))
   done
 
+(* Only what [save_image] writes loads: an image whose header frame
+   size is not 4096, or whose length is not the header plus [nframes]
+   frames, fails instead of loading as a device nothing else agrees
+   with. *)
+let test_device_image_mismatch () =
+  let path = Filename.temp_file "scm" ".img" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Scm_device.save_image (Scm_device.create ~nframes:2 ()) path;
+      let image = In_channel.with_open_bin path In_channel.input_all in
+      let rejects name contents =
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc contents);
+        match Scm_device.load_image path with
+        | _ -> Alcotest.failf "%s: the image loaded" name
+        | exception Failure _ -> ()
+      in
+      (* The header is the 8-byte magic, then the frame size and
+         [nframes] as 32-bit big-endian words: one 8192-byte frame
+         covers the same data. *)
+      let header = Bytes.of_string image in
+      Bytes.set_int32_be header 8 8192l;
+      Bytes.set_int32_be header 12 1l;
+      rejects "8192-byte frames" (Bytes.to_string header);
+      rejects "trailing bytes" (image ^ "\000");
+      rejects "truncated" (String.sub image 0 (String.length image - 8)))
+
 (* ------------------------------------------------------------------ *)
 (* Cache *)
 
@@ -71,7 +99,11 @@ let test_cache_eviction_writes_back () =
   for i = 0 to 63 do
     Cache.write_word m.cache (i * 64) (Int64.of_int i)
   done;
-  Alcotest.(check bool) "evictions happened" true (Cache.evictions m.cache > 0);
+  let evictions =
+    Obs.Metrics.counter m.obs.Obs.metrics "scm.cache.evictions"
+  in
+  Alcotest.(check bool) "evictions happened" true
+    (Obs.Metrics.counter_value evictions > 0);
   for i = 0 to 63 do
     Alcotest.(check int64)
       (Printf.sprintf "line %d" i)
@@ -443,8 +475,7 @@ let test_device_journal_nested_marks () =
     (Scm_device.load64 dev 0);
   Alcotest.(check int64) "outer undo reverts the re-write" 0L
     (Scm_device.load64 dev 16);
-  Alcotest.(check int) "wear fully rewound" 0 (Scm_device.total_writes dev);
-  Scm_device.journal_stop dev
+  Alcotest.(check int) "wear fully rewound" 0 (Scm_device.total_writes dev)
 
 (* ------------------------------------------------------------------ *)
 (* Word helpers *)
@@ -530,6 +561,8 @@ let () =
           Alcotest.test_case "wear counters" `Quick test_device_wear_counters;
           Alcotest.test_case "image roundtrip" `Quick
             test_device_image_roundtrip;
+          Alcotest.test_case "mismatched image fails" `Quick
+            test_device_image_mismatch;
         ] );
       ( "cache",
         [

@@ -63,8 +63,7 @@ let test_mutex_serializes () =
   Sim.run sim;
   Alcotest.(check int) "mutual exclusion" 1 !max_in_cs;
   Alcotest.(check int) "all finished" 4 !done_count;
-  Alcotest.(check int) "serialized time" 200 (Sim.now sim);
-  Alcotest.(check int) "three waited" 3 (Sim.Mutex_r.contentions m)
+  Alcotest.(check int) "serialized time" 200 (Sim.now sim)
 
 let test_mutex_fifo_handoff () =
   let sim = Sim.create () in
@@ -81,24 +80,6 @@ let test_mutex_fifo_handoff () =
   Sim.run sim;
   Alcotest.(check (list int)) "FIFO grant order" [ 1; 2; 3 ]
     (List.rev !order)
-
-let test_try_lock () =
-  let sim = Sim.create () in
-  let m = Sim.Mutex_r.create sim in
-  let results = ref [] in
-  Sim.spawn sim (fun () ->
-      Alcotest.(check bool) "first try succeeds" true (Sim.Mutex_r.try_lock m);
-      Sim.delay sim 100;
-      Sim.Mutex_r.unlock m);
-  Sim.spawn sim (fun () ->
-      Sim.delay sim 50;
-      results := Sim.Mutex_r.try_lock m :: !results;
-      Sim.delay sim 100;
-      results := Sim.Mutex_r.try_lock m :: !results;
-      Sim.Mutex_r.unlock m);
-  Sim.run sim;
-  Alcotest.(check (list bool)) "busy then free" [ false; true ]
-    (List.rev !results)
 
 let test_cond_group_commit_pattern () =
   (* The group-commit shape used by the Berkeley DB baseline: followers
@@ -156,8 +137,7 @@ let test_spawn_from_process () =
           child_ran := true));
   Sim.run sim;
   Alcotest.(check bool) "child ran" true !child_ran;
-  Alcotest.(check int) "time includes child" 15 (Sim.now sim);
-  Alcotest.(check int) "two processes" 2 (Sim.processes_run sim)
+  Alcotest.(check int) "time includes child" 15 (Sim.now sim)
 
 let test_determinism () =
   let run () =
@@ -415,8 +395,6 @@ let test_schedule_replay_roundtrip () =
   Sim.Schedule.save rec_sched path;
   let loaded = load_ok path in
   Sys.remove path;
-  Alcotest.(check bool) "loaded schedule replays" true
-    (Sim.Schedule.is_replay loaded);
   Alcotest.(check (option string))
     "meta survives the round trip" (Some "test")
     (Sim.Schedule.meta loaded "shape");
@@ -644,7 +622,6 @@ let () =
         [
           Alcotest.test_case "serializes" `Quick test_mutex_serializes;
           Alcotest.test_case "FIFO handoff" `Quick test_mutex_fifo_handoff;
-          Alcotest.test_case "try_lock" `Quick test_try_lock;
           Alcotest.test_case "deadlock detection" `Quick
             test_deadlock_detection;
         ] );
