@@ -21,11 +21,13 @@ let tmp_root =
     (Printf.sprintf "mnemosyne-bench-%d" (Unix.getpid ()))
 
 (* ------------------------------------------------------------------ *)
-(* JSON perf output (--json FILE, --baseline FILE)                     *)
+(* Host figures: --json FILE, --baseline FILE                         *)
 
-(* Sections register wall-clock/simulated figures here; --json dumps
-   them under a stable schema (documented in EXPERIMENTS.md) so CI can
-   track the perf trajectory across PRs and fail on regressions. *)
+(* Standard output carries simulated figures only, and expect/ pins it
+   byte for byte.  commit_bench's host figures go to stderr and are
+   registered here; --json dumps them under a stable schema (documented
+   in EXPERIMENTS.md), and --baseline gates them against a committed
+   file. *)
 let json_schema = "mnemosyne-bench/1"
 let json_sections : (string * (string * float) list) list ref = ref []
 
@@ -98,78 +100,37 @@ let json_find ~section ~key text =
           float_of_string_opt (String.sub text s (!e - s))
       | _ -> None)
 
-(* Compare the just-measured throughput figures against a committed
-   baseline; returns the failures (section, key, baseline, current). *)
-let json_check_baseline file ~max_regress_pct =
+(* The host gate: a wall-clock throughput ([wall_*_per_s]) fails when
+   it falls more than [max_regress_pct] below the baseline, or when the
+   baseline lacks its key, so a section renamed or dropped from the
+   baseline cannot switch its gate off.  Returns one message per
+   failure. *)
+let max_regress_pct = 30.0
+
+let json_check_baseline file =
   let text = In_channel.with_open_text file In_channel.input_all in
-  let failures = ref [] in
-  List.iter
+  List.concat_map
     (fun (section, kvs) ->
-      List.iter
+      List.filter_map
         (fun (key, cur) ->
-          (* only throughput figures regress downward: host-CPU
-             ("wall_") within noise tolerance, and simulated ("sim_")
-             throughputs — deterministic, so any drop is a real modeled
-             regression, but gated with the same knob to allow
-             intentional model changes through --max-regress *)
-          let has_prefix p =
-            String.length key >= String.length p
-            && String.sub key 0 (String.length p) = p
-          in
           if
-            (has_prefix "wall_" || has_prefix "sim_")
-            && String.length key > 6
-            && String.sub key (String.length key - 6) 6 = "_per_s"
-          then
+            not
+              (String.starts_with ~prefix:"wall_" key
+              && String.ends_with ~suffix:"_per_s" key)
+          then None
+          else
             match json_find ~section ~key text with
-            | Some base when base > 0.0 ->
+            | None -> Some (Printf.sprintf "%s.%s: not in %s" section key file)
+            | Some base ->
                 let drop = (base -. cur) /. base *. 100.0 in
                 if drop > max_regress_pct then
-                  failures := (section, key, base, cur) :: !failures
-            | Some _ | None -> ())
+                  Some
+                    (Printf.sprintf
+                       "%s.%s fell %.1f%% (baseline %.0f, now %.0f)" section
+                       key drop base cur)
+                else None)
         kvs)
-    !json_sections;
-  List.rev !failures
-
-(* The simulated-time and allocation figures are deterministic, not
-   statistical: the harness never installs the sanitizer, so a
-   sanitizer-disabled build must reproduce the committed baseline's
-   sim figures bit-for-bit (at the "%.6g" precision the JSON carries)
-   and hold the default commit case inside its minor-word allocation
-   budget.  Drift here means modeled behaviour changed — a much
-   stronger claim than the throughput gate above, which only bounds
-   host-CPU noise. *)
-let minor_words_budget = 512.0
-
-let json_check_invariants file =
-  let text = In_channel.with_open_text file In_channel.input_all in
-  let failures = ref [] in
-  List.iter
-    (fun (section, kvs) ->
-      List.iter
-        (fun (key, cur) ->
-          (if key = "sim_us_per_commit" then
-             match json_find ~section ~key text with
-             | Some base
-               when Printf.sprintf "%.6g" base <> Printf.sprintf "%.6g" cur ->
-                 failures :=
-                   Printf.sprintf
-                     "%s.%s: simulated figure %.6g differs from baseline %.6g"
-                     section key cur base
-                   :: !failures
-             | Some _ | None -> ());
-          if
-            key = "minor_words_per_commit" && section = "commit"
-            && cur > minor_words_budget
-          then
-            failures :=
-              Printf.sprintf
-                "%s.%s: %.1f minor words/commit exceeds the %.0f-word budget"
-                section key cur minor_words_budget
-              :: !failures)
-        kvs)
-    !json_sections;
-  List.rev !failures
+    !json_sections
 
 let fresh_dir =
   let n = ref 0 in
@@ -1217,6 +1178,10 @@ let kvstore () =
            (List.length (Obs.Flight.traced obs.Obs.flight))
            file
            (Obs.Flight.dropped obs.Obs.flight));
+      (* the trace is simulated time too: its digest pins the file *)
+      Workload.Report.note
+        (Printf.sprintf "chrome trace md5: %s"
+           (Digest.to_hex (Digest.file file)));
       print_string (Obs.Trace.summary obs.Obs.flight)
   | None -> ());
   if !show_metrics then begin
@@ -1232,12 +1197,12 @@ let kvstore () =
 
 (* Unlike every section above, this one measures HOST time: the cost of
    the simulator itself on the per-operation and per-commit fast paths.
-   Simulated-time figures are reported alongside as a cross-check that
-   wall-clock optimizations did not shift modeled results. *)
+   Those figures go to stderr and --json; standard output keeps the
+   simulated time per commit, which wall-clock optimizations must not
+   shift. *)
 let commit_bench () =
   Workload.Report.section "commit_bench"
-    "commit-path wall-clock microbenchmark (host time; sim figures as \
-     cross-check)";
+    "commit-path microbenchmark: simulated time per commit";
   let nslots = 512 in
   let run_case ~name ~writes_per_txn ~reads_per_txn ~iters =
     let dir = fresh_dir "commitb" in
@@ -1309,17 +1274,16 @@ let commit_bench () =
       [
         ("wall_commits_per_s", commits_per_s);
         ("wall_ns_per_commit", per_commit_ns);
-        ("sim_us_per_commit", sim_us);
         ("minor_words_per_commit", minor_per_commit);
         ("iters", float_of_int iters);
         ("writes_per_txn", float_of_int writes_per_txn);
         ("reads_per_txn", float_of_int reads_per_txn);
       ];
-    [ name;
-      Printf.sprintf "%.0f" commits_per_s;
-      Printf.sprintf "%.2f" (per_commit_ns /. 1000.0);
-      Printf.sprintf "%.2f" sim_us;
-      Printf.sprintf "%.0f" minor_per_commit ]
+    Printf.eprintf
+      "commit_bench %-11s %9.0f commits/s  %6.2f us/commit (wall)  %5.0f \
+       minor words/commit\n"
+      name commits_per_s (per_commit_ns /. 1000.0) minor_per_commit;
+    [ name; Printf.sprintf "%.6g" sim_us ]
   in
   let rows =
     [
@@ -1331,13 +1295,10 @@ let commit_bench () =
         ~iters:20_000;
     ]
   in
-  Workload.Report.table
-    ~header:
-      [ "case"; "commits/s (wall)"; "us/commit (wall)"; "us/commit (sim)";
-        "minor words/commit" ]
-    rows;
+  Workload.Report.table ~header:[ "case"; "us/commit (sim)" ] rows;
   Workload.Report.note
-    "host-CPU figures; the sim column must be invariant across PRs"
+    "host figures (commits/s, wall us/commit, minor words/commit) go to \
+     stderr and --json"
 
 (* ------------------------------------------------------------------ *)
 (* scale_bench: the high-thread-count commit collapse and its fix      *)
@@ -1351,8 +1312,8 @@ let commit_bench () =
    blocks, enlarges the lock table eightfold, shares one fence per
    group-commit drain window and hands the write-back to drainer
    daemons.  Both run the same workloads at 1..64 simulated threads;
-   figures are simulated time, so they are deterministic and
-   baseline-tracked in BENCH_scale.json like BENCH_commit.json. *)
+   figures are simulated time, so they are deterministic, and
+   expect/bench_slow.expected pins every one of them. *)
 
 let scale_threads = [ 1; 2; 4; 8; 16; 64 ]
 let scale_txns = 128 (* per thread *)
@@ -1531,67 +1492,45 @@ let run_scale ~threads ~mode ~contended =
 let scale_bench () =
   Workload.Report.section "scale_bench"
     "commit scalability: shared vs pipelined commit path (simulated time)";
+  (* Per arm: aborts/retries/log-full stalls, lock-table false
+     conflicts, and simulated ns spent in retry backoff and
+     contention-manager waits: which policy wins and why. *)
+  let arm r =
+    [
+      Printf.sprintf "%d/%d/%d" r.sc_aborts r.sc_retries r.sc_stalls;
+      string_of_int r.sc_false_conflicts;
+      string_of_int r.sc_backoff_ns;
+    ]
+  in
   List.iter
     (fun contended ->
-      let case = if contended then "contended" else "disjoint" in
-      let kvs = ref [] in
       let rows =
         List.map
           (fun n ->
             let sh = run_scale ~threads:n ~mode:`Shared ~contended in
             let pi = run_scale ~threads:n ~mode:`Pipeline ~contended in
-            let pi_speedup = pi.sc_per_s /. sh.sc_per_s in
-            kvs :=
-              !kvs
-              @ [
-                  (Printf.sprintf "sim_shared_t%d_commits_per_s" n, sh.sc_per_s);
-                  ( Printf.sprintf "sim_pipeline_t%d_commits_per_s" n,
-                    pi.sc_per_s );
-                  (Printf.sprintf "pipeline_speedup_t%d" n, pi_speedup);
-                  ( Printf.sprintf "shared_aborts_t%d" n,
-                    float_of_int sh.sc_aborts );
-                  ( Printf.sprintf "pipeline_aborts_t%d" n,
-                    float_of_int pi.sc_aborts );
-                ];
-            (* The contended sections carry the contention-manager
-               attribution: time burnt backing off, attempts retried,
-               and lock-table false conflicts, per configuration —
-               which policy wins and why. *)
-            if contended then
-              kvs :=
-                !kvs
-                @ List.concat_map
-                    (fun (tag, r) ->
-                      [
-                        ( Printf.sprintf "%s_backoff_ns_t%d" tag n,
-                          float_of_int r.sc_backoff_ns );
-                        ( Printf.sprintf "%s_retries_t%d" tag n,
-                          float_of_int r.sc_retries );
-                        ( Printf.sprintf "%s_false_conflicts_t%d" tag n,
-                          float_of_int r.sc_false_conflicts );
-                      ])
-                    [ ("shared", sh); ("pipeline", pi) ];
             [
               string_of_int n;
               Printf.sprintf "%.0f" sh.sc_per_s;
               Printf.sprintf "%.0f" pi.sc_per_s;
-              Printf.sprintf "%.2fx" pi_speedup;
-              Printf.sprintf "%d/%d/%d" pi.sc_aborts pi.sc_retries
-                pi.sc_stalls;
-              string_of_int pi.sc_false_conflicts;
-            ])
+              Printf.sprintf "%.2fx" (pi.sc_per_s /. sh.sc_per_s);
+            ]
+            @ arm sh @ arm pi)
           scale_threads
       in
-      json_add ("scale_" ^ case) !kvs;
       Workload.Report.table
         ~header:
           [
-            case ^ " thr";
+            (if contended then "contended thr" else "disjoint thr");
             "shared c/s";
             "pipeline c/s";
             "pipe x";
+            "sh ab/rt/st";
+            "sh falseconf";
+            "sh backoff ns";
             "pi ab/rt/st";
             "pi falseconf";
+            "pi backoff ns";
           ]
         rows)
     [ false; true ];
@@ -1615,9 +1554,7 @@ let scale_bench () =
    the worker pool's service capacity, so every burst overloads the
    system and the difference between the two policies is exactly what
    the tail percentiles report.  Figures are simulated time, hence
-   deterministic, and baseline-tracked in BENCH_serve.json: goodput is
-   regression-gated like every *_per_s key, while the latency
-   percentiles and shed counts ride along unGated for trend review. *)
+   deterministic, and expect/bench.expected pins every one of them. *)
 
 let serve_base_cfg =
   {
@@ -1673,48 +1610,24 @@ let serve_bench () =
       string_of_int st.Serve.completed;
       string_of_int st.Serve.slo_ok;
       Printf.sprintf "%d/%d" st.Serve.shed_queue st.Serve.shed_log;
-      Workload.Report.ops st.Serve.goodput_per_s;
-      Printf.sprintf "%.1f" st.Serve.p50_us;
-      Printf.sprintf "%.1f" st.Serve.p99_us;
-      Printf.sprintf "%.1f" st.Serve.p999_us;
+      Printf.sprintf "%.6g/s" st.Serve.goodput_per_s;
+      Printf.sprintf "%.3f" st.Serve.p50_us;
+      Printf.sprintf "%.3f" st.Serve.p99_us;
+      Printf.sprintf "%.3f" st.Serve.p999_us;
       string_of_int st.Serve.log_full_stalls;
       string_of_int st.Serve.max_queue_depth;
+      string_of_int st.Serve.drain_boosts;
+      string_of_int st.Serve.window_ns;
     ]
   in
   Workload.Report.table
     ~header:
       [
         "config"; "offered"; "done"; "slo ok"; "shed q/log"; "goodput";
-        "p50 us";
-        "p99 us"; "p999 us"; "stalls"; "max q";
+        "p50 us"; "p99 us"; "p999 us"; "stalls"; "max q"; "boosts";
+        "window ns";
       ]
     [ row "legacy (stall)" legacy; row "admission" admit ];
-  let f = float_of_int in
-  json_add "serve"
-    [
-      ("sim_admission_goodput_per_s", admit.Serve.goodput_per_s);
-      ("sim_legacy_goodput_per_s", legacy.Serve.goodput_per_s);
-      ("admission_p50_us", admit.Serve.p50_us);
-      ("admission_p99_us", admit.Serve.p99_us);
-      ("admission_p999_us", admit.Serve.p999_us);
-      ("legacy_p50_us", legacy.Serve.p50_us);
-      ("legacy_p99_us", legacy.Serve.p99_us);
-      ("legacy_p999_us", legacy.Serve.p999_us);
-      ("admission_shed_queue", f admit.Serve.shed_queue);
-      ("admission_shed_log", f admit.Serve.shed_log);
-      ("admission_shed_rate", admit.Serve.shed_rate);
-      ("admission_stalls", f admit.Serve.log_full_stalls);
-      ("legacy_stalls", f legacy.Serve.log_full_stalls);
-      ("admission_max_queue", f admit.Serve.max_queue_depth);
-      ("legacy_max_queue", f legacy.Serve.max_queue_depth);
-      ("admission_drain_boosts", f admit.Serve.drain_boosts);
-      ("admission_completed", f admit.Serve.completed);
-      ("legacy_completed", f legacy.Serve.completed);
-      ("admission_slo_ok", f admit.Serve.slo_ok);
-      ("legacy_slo_ok", f legacy.Serve.slo_ok);
-      ("legacy_window_ns", f legacy.Serve.window_ns);
-      ("admission_window_ns", f admit.Serve.window_ns);
-    ];
   Workload.Report.note
     (Printf.sprintf
        "open-loop MMPP bursts (ON %.0fk/s per tenant) over 4 tenants x 8 \
@@ -1830,7 +1743,6 @@ let () =
   at_exit (fun () -> try rm_rf tmp_root with Sys_error _ -> ());
   let json_file = ref None in
   let baseline = ref None in
-  let max_regress = ref 30.0 in
   let rec parse = function
     | [] -> []
     | "--trace" :: file :: rest when String.length file > 0 && file.[0] <> '-'
@@ -1867,14 +1779,6 @@ let () =
     | "--baseline" :: _ ->
         prerr_endline "bench: --baseline requires a FILE argument";
         exit 2
-    | "--max-regress" :: pct :: rest -> (
-        match float_of_string_opt pct with
-        | Some p when p > 0.0 ->
-            max_regress := p;
-            parse rest
-        | _ ->
-            prerr_endline "bench: --max-regress requires a positive number";
-            exit 2)
     | "--metrics" :: rest ->
         show_metrics := true;
         parse rest
@@ -1892,9 +1796,24 @@ let () =
     | a :: rest -> a :: parse rest
   in
   let args = parse (List.tl (Array.to_list Sys.argv)) in
+  let section_name = function
+    | "figure4" | "figure5" -> "figure4+5"
+    | a -> a
+  in
+  (* a typo must not run nothing and exit 0 *)
+  List.iter
+    (fun a ->
+      if
+        a <> "--wallclock"
+        && not (List.mem_assoc (section_name a) all_sections)
+      then begin
+        Printf.eprintf "bench: unknown argument %s\n" a;
+        exit 2
+      end)
+    args;
   if List.mem "--wallclock" args then wallclock ()
   else begin
-    let wanted = List.filter (fun a -> a <> "--wallclock") args in
+    let wanted = List.map section_name args in
     let selected =
       if wanted = [] then
         (* --trace/--metrics/--metrics-json alone mean "show me the
@@ -1902,15 +1821,7 @@ let () =
         if !trace_file <> None || !show_metrics || !metrics_json_file <> None
         then [ ("kvstore", kvstore) ]
         else all_sections
-      else
-        List.filter
-          (fun (name, _) ->
-            List.exists
-              (fun w ->
-                name = w
-                || (name = "figure4+5" && (w = "figure4" || w = "figure5")))
-              wanted)
-          all_sections
+      else List.filter (fun (name, _) -> List.mem name wanted) all_sections
     in
     Printf.printf
       "Mnemosyne benchmark harness (simulated time; see EXPERIMENTS.md)\n";
@@ -1928,24 +1839,12 @@ let () =
     | None, _ -> ());
     match !baseline with
     | None -> ()
-    | Some f ->
-        let broken = json_check_invariants f in
-        let failures = json_check_baseline f ~max_regress_pct:!max_regress in
-        List.iter
-          (fun m -> Printf.eprintf "perf INVARIANT BROKEN: %s\n" m)
-          broken;
-        List.iter
-          (fun (section, key, base, cur) ->
-            Printf.eprintf
-              "perf REGRESSION: %s.%s fell %.1f%% (baseline %.0f, now %.0f)\n"
-              section key
-              ((base -. cur) /. base *. 100.0)
-              base cur)
-          failures;
-        if broken = [] && failures = [] then
-          Printf.printf
-            "perf check: throughput within %.0f%% of %s; sim figures \
-             bit-identical; commit allocation budget held\n"
-            !max_regress f
-        else exit 1
+    | Some f -> (
+        match json_check_baseline f with
+        | [] ->
+            Printf.eprintf "perf check: wall throughput within %.0f%% of %s\n"
+              max_regress_pct f
+        | failures ->
+            List.iter (Printf.eprintf "perf check failed: %s\n") failures;
+            exit 1)
   end

@@ -4,7 +4,8 @@
    without the flag stays text, and vice versa — and `fsck` exits 0
    clean, 1 on a missing instance, 2 on findings.  sched_explore: a
    knob combination the transaction system rejects is a one-line
-   error, not an uncaught exception. *)
+   error, not an uncaught exception.  bench: an unknown argument is an
+   error, and the host gate fails on a key its baseline lacks. *)
 
 let with_tmpdir f =
   let dir = Filename.temp_file "mnemocli" "" in
@@ -24,10 +25,10 @@ let with_tmpdir f =
 
 (* cwd is _build/default/test under `dune runtest`, the project root
    under `dune exec` *)
-let exe name =
-  let built = Printf.sprintf "../bin/%s.exe" name in
+let exe path =
+  let built = Printf.sprintf "../%s.exe" path in
   if Sys.file_exists built then built
-  else Printf.sprintf "_build/default/bin/%s.exe" name
+  else Printf.sprintf "_build/default/%s.exe" path
 
 let run_exe exe args =
   let out = Filename.temp_file "cli" ".out" in
@@ -43,7 +44,7 @@ let run_exe exe args =
   Sys.remove out;
   (code, String.trim s)
 
-let run_cli = run_exe (exe "regionctl")
+let run_cli = run_exe (exe "bin/regionctl")
 
 let starts_with prefix s =
   String.length s >= String.length prefix
@@ -141,7 +142,7 @@ let test_sched_explore_rejects_bad_knobs () =
       List.iter
         (fun args ->
           let code, out =
-            run_exe (exe "sched_explore")
+            run_exe (exe "bin/sched_explore")
               (args @ [ "--seeds"; "1"; "--dir"; dir ])
           in
           let what = String.concat " " args in
@@ -157,6 +158,39 @@ let test_sched_explore_rejects_bad_knobs () =
           [ "--threads"; "0" ];
           [ "--group-commit" ];
         ])
+
+(* A typo must not run nothing and exit 0, and an expected-output
+   file generated from one would pin an empty section. *)
+let test_bench_rejects_unknown_args () =
+  List.iter
+    (fun arg ->
+      let code, out = run_exe (exe "bench/main") [ arg ] in
+      Alcotest.(check int) (arg ^ " exits 2") 2 code;
+      Alcotest.(check bool) (arg ^ " is named") true (contains arg out))
+    [ "tabel6"; "--wallclok" ]
+
+(* A section dropped from the baseline must not switch its gate off.
+   The crafted baseline puts 1 commit/s on every key, so the host's
+   speed never decides the outcome. *)
+let test_bench_baseline_lacks_key () =
+  with_tmpdir (fun dir ->
+      let gate sections =
+        let file = Filename.concat dir "baseline.json" in
+        Out_channel.with_open_text file (fun oc ->
+            Printf.fprintf oc
+              "{\"schema\": \"mnemosyne-bench/1\", \"sections\": {%s}}\n"
+              (String.concat ", "
+                 (List.map
+                    (Printf.sprintf "\"%s\": {\"wall_commits_per_s\": 1}")
+                    sections)));
+        run_exe (exe "bench/main") [ "commit_bench"; "--baseline"; file ]
+      in
+      let code, _ = gate [ "commit"; "commit_wide"; "readonly" ] in
+      Alcotest.(check int) "every key present exits 0" 0 code;
+      let code, out = gate [ "commit"; "commit_wide" ] in
+      Alcotest.(check int) "a missing key exits 1" 1 code;
+      Alcotest.(check bool) "the missing key is named" true
+        (contains "readonly.wall_commits_per_s" out))
 
 let () =
   Alcotest.run "cli"
@@ -178,5 +212,12 @@ let () =
         [
           Alcotest.test_case "invalid knobs are a one-line error" `Quick
             test_sched_explore_rejects_bad_knobs;
+        ] );
+      ( "bench",
+        [
+          Alcotest.test_case "unknown arguments are an error" `Quick
+            test_bench_rejects_unknown_args;
+          Alcotest.test_case "baseline lacking a key fails" `Quick
+            test_bench_baseline_lacks_key;
         ] );
     ]
