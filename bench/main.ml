@@ -11,10 +11,7 @@
    values alongside.
 
    Run everything:          dune exec bench/main.exe
-   Run selected sections:   dune exec bench/main.exe -- table6 figure4
-   Wall-clock microbenches: dune exec bench/main.exe -- --wallclock
-   (Bechamel measures host-CPU time, which is only meaningful for the
-   CPU-bound kernels, not for the simulated-time experiments.) *)
+   Run selected sections:   dune exec bench/main.exe -- table6 figure4 *)
 
 let tmp_root =
   Filename.concat (Filename.get_temp_dir_name ())
@@ -188,9 +185,6 @@ let run_mtm_hashtable ?(latency = Scm.Latency_model.default) ~threads
   let inst = Mnemosyne.open_instance ~geometry ~latency ~dir () in
   let machine = Mnemosyne.machine inst in
   let sim = Sim.create () in
-  let heap_mu = Sim.Mutex_r.create sim in
-  Pmheap.Heap.set_exclusion (Mnemosyne.heap inst) (fun f ->
-      Sim.Mutex_r.with_lock heap_mu f);
   let slot = Mnemosyne.pstatic inst "bench.ht" 8 in
   let table =
     Mnemosyne.atomically inst (fun tx ->
@@ -393,9 +387,6 @@ let run_ldap backend_name =
           fun () -> () )
     | `Mnemosyne ->
         let inst = Mnemosyne.open_instance ~geometry ~latency ~dir () in
-        let heap_mu = Sim.Mutex_r.create sim in
-        Pmheap.Heap.set_exclusion (Mnemosyne.heap inst) (fun f ->
-            Sim.Mutex_r.with_lock heap_mu f);
         ( Apps.Ldap_server.create_mnemosyne inst,
           Mnemosyne.machine inst,
           fun () -> rm_rf dir )
@@ -431,9 +422,6 @@ let run_tc ?(threads = 1) ?request_ns backend_name ~value_bytes =
           fun () -> () )
     | `Mnemosyne ->
         let inst = Mnemosyne.open_instance ~geometry ~dir () in
-        let heap_mu = Sim.Mutex_r.create sim in
-        Pmheap.Heap.set_exclusion (Mnemosyne.heap inst) (fun f ->
-            Sim.Mutex_r.with_lock heap_mu f);
         ( Apps.Tc_store.create_mnemosyne ?request_ns inst,
           Mnemosyne.machine inst,
           fun () -> rm_rf dir )
@@ -661,9 +649,6 @@ let run_truncation_mode ~mode ~value_bytes ~idle_pct =
   let inst = Mnemosyne.open_instance ~geometry ~mtm ~dir () in
   let machine = Mnemosyne.machine inst in
   let sim = Sim.create () in
-  let heap_mu = Sim.Mutex_r.create sim in
-  Pmheap.Heap.set_exclusion (Mnemosyne.heap inst) (fun f ->
-      Sim.Mutex_r.with_lock heap_mu f);
   let slot = Mnemosyne.pstatic inst "bench.ht" 8 in
   let table =
     Mnemosyne.atomically inst (fun tx ->
@@ -1324,9 +1309,13 @@ let scale_txns = 128 (* per thread *)
    a drainer daemon, locks released at the durability fence) and the
    adaptive contention manager. *)
 let scale_cfg ~threads ~mode =
-  let pipeline = mode = `Pipeline in
+  let base =
+    match mode with
+    | `Shared -> Mtm.Txn.default_config
+    | `Pipeline -> Mtm.Txn.pipelined_config
+  in
   {
-    Mtm.Txn.default_config with
+    base with
     nthreads = threads;
     log_cap_words = 4096;
     (* a deliberately undersized flat table (2^10 entries): at 64
@@ -1334,15 +1323,6 @@ let scale_cfg ~threads ~mode =
        index aliasing manufactures conflicts between threads that
        never touch the same data *)
     lock_bits = 10;
-    ts_lease = (if pipeline then 32 else 1);
-    lock_stripes = (if pipeline then 8 else 1);
-    group_commit = pipeline;
-    pipeline;
-    (* a deep in-flight window: a thread's stores revisit its working
-       set, so a drainer sweep retiring many of its commits at once
-       flushes the line *union* with one media write per hot line *)
-    pipe_window = 32;
-    cm = (if pipeline then Mtm.Txn.Cm_adaptive else Mtm.Txn.Cm_legacy);
   }
 
 type scale_result = {
@@ -1362,9 +1342,6 @@ let run_scale ~threads ~mode ~contended =
     Mnemosyne.open_instance ~geometry ~mtm:(scale_cfg ~threads ~mode) ~dir ()
   in
   let machine = Mnemosyne.machine inst in
-  let heap_mu = Sim.Mutex_r.create sim in
-  Pmheap.Heap.set_exclusion (Mnemosyne.heap inst) (fun f ->
-      Sim.Mutex_r.with_lock heap_mu f);
   let nslots = if contended then 64 else 256 (* per thread *) in
   let slab_words = if contended then nslots else threads * nslots in
   (* One root slot, one slab: the first worker to commit allocates it
@@ -1383,31 +1360,17 @@ let run_scale ~threads ~mode ~contended =
   let t0 = ref 0 in
   let t_end = ref 0 in
   let contention = ref 0 in
-  (* The pipelined config's first-class drainers: DES daemons sweeping
-     the workers' pending write-backs, woken by commits, stopped by
-     the last finishing worker (stop drains leftovers first, so no
-     parked process survives to deadlock the run).  One daemon
-     serializes every producer's flush traffic through a single fiber
-     and caps the whole pool at its throughput, so the drainer is
-     sharded — one per 4 workers, each sweeping the threads whose
-     [id mod nshards] it owns and woken only by their commits. *)
+  (* The pipelined config's drainers.  One daemon serializes every
+     producer's flush traffic through a single fiber and caps the whole
+     pool at its throughput, so the drainer is sharded: one per 4
+     workers, each sweeping the threads whose [id mod nshards] it owns
+     and woken only by their commits. *)
   let pool = Mnemosyne.pool inst in
-  let services = ref [||] in
-  (if mode = `Pipeline then begin
-     let nshards = max 1 (threads / 4) in
-     let svcs =
-       Array.init nshards (fun k ->
-           let dview =
-             Region.Pmem.view (Mtm.Txn.pmem pool) (sim_env sim machine)
-           in
-           Sim.Service.spawn sim ~work:(fun () ->
-               Mtm.Txn.drain_pipeline ~shard:(k, nshards) pool dview))
-     in
-     Mtm.Txn.set_drain_wake pool
-       (Some (fun tid -> Sim.Service.wake svcs.(tid mod nshards)));
-     services := svcs
-   end);
-  let running = ref threads in
+  let drainers =
+    match mode with
+    | `Pipeline -> Some (Mtm.Txn.Drainers.start ~per:4 sim pool)
+    | `Shared -> None
+  in
   for i = 0 to threads - 1 do
     Sim.spawn sim (fun () ->
         let env = sim_env sim machine in
@@ -1460,8 +1423,7 @@ let run_scale ~threads ~mode ~contended =
            tail sweep after the final worker exits is deferred work left
            unpriced *)
         t_end := max !t_end (Sim.now sim);
-        decr running;
-        if !running = 0 then Array.iter Sim.Service.stop !services)
+        Option.iter Mtm.Txn.Drainers.worker_done drainers)
   done;
   Sim.run sim;
   let stats = Mtm.Txn.stats pool in
@@ -1544,7 +1506,7 @@ let scale_bench () =
 (* ------------------------------------------------------------------ *)
 (* serve_bench: multi-tenant serving under open-loop load              *)
 
-(* The serving flagship (ROADMAP item 1): the same bursty open-loop
+(* The serving flagship (ROADMAP item 3): the same bursty open-loop
    traffic is offered to two configurations of the Serve front-end.
    "legacy" has every admission gate off — requests queue without
    bound and a full RAWL is discovered by the producer wedging inline
@@ -1654,63 +1616,6 @@ let table1 () =
        Scm.Latency_model.technologies)
 
 (* ------------------------------------------------------------------ *)
-(* Wall-clock microbenches (bechamel)                                  *)
-
-let wallclock () =
-  let open Bechamel in
-  let pack_words = Array.init 256 (fun i -> Int64.of_int (i * 2654435761)) in
-  let tornbit_pack =
-    Test.make ~name:"tornbit pack 256 words"
-      (Staged.stage (fun () ->
-           let sink = ref 0L in
-           let packer =
-             Pmlog.Bitstream.Packer.create ~emit:(fun c ->
-                 sink := Int64.logxor !sink c)
-           in
-           Array.iter (Pmlog.Bitstream.Packer.push packer) pack_words;
-           Pmlog.Bitstream.Packer.flush packer;
-           !sink))
-  in
-  let lock_hash =
-    let locks = Mtm.Lock_table.create () in
-    Test.make ~name:"lock-table hash 1k addrs"
-      (Staged.stage (fun () ->
-           let acc = ref 0 in
-           for i = 0 to 999 do
-             acc := !acc + Mtm.Lock_table.index_of locks (i * 8)
-           done;
-           !acc))
-  in
-  let zipf =
-    let kg = Workload.Keygen.create () in
-    let dist = Workload.Keygen.Zipf.make kg ~n:100_000 ~theta:0.99 in
-    Test.make ~name:"zipf draw x1k"
-      (Staged.stage (fun () ->
-           let acc = ref 0 in
-           for _ = 1 to 1000 do
-             acc := !acc + Workload.Keygen.Zipf.draw dist
-           done;
-           !acc))
-  in
-  let tests =
-    Test.make_grouped ~name:"kernels" [ tornbit_pack; lock_hash; zipf ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let results = Analyze.all ols instance raw in
-  Workload.Report.section "wallclock" "host-CPU microbenchmarks (bechamel)";
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "%-40s %12.1f ns/run\n" name est
-      | _ -> Printf.printf "%-40s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
 
 let all_sections =
   [
@@ -1803,48 +1708,42 @@ let () =
   (* a typo must not run nothing and exit 0 *)
   List.iter
     (fun a ->
-      if
-        a <> "--wallclock"
-        && not (List.mem_assoc (section_name a) all_sections)
-      then begin
+      if not (List.mem_assoc (section_name a) all_sections) then begin
         Printf.eprintf "bench: unknown argument %s\n" a;
         exit 2
       end)
     args;
-  if List.mem "--wallclock" args then wallclock ()
-  else begin
-    let wanted = List.map section_name args in
-    let selected =
-      if wanted = [] then
-        (* --trace/--metrics/--metrics-json alone mean "show me the
-           instrumented run", not "trace all thirteen sections" *)
-        if !trace_file <> None || !show_metrics || !metrics_json_file <> None
-        then [ ("kvstore", kvstore) ]
-        else all_sections
-      else List.filter (fun (name, _) -> List.mem name wanted) all_sections
-    in
-    Printf.printf
-      "Mnemosyne benchmark harness (simulated time; see EXPERIMENTS.md)\n";
-    List.iter (fun (_, f) -> f ()) selected;
-    (match !json_file with Some f -> json_write f | None -> ());
-    (match (!metrics_json_file, !metrics_json_data) with
-    | Some f, Some data ->
-        Out_channel.with_open_text f (fun oc ->
-            Out_channel.output_string oc data)
-    | Some f, None ->
-        Printf.eprintf
-          "bench: --metrics-json %s: no instrumented section ran (kvstore \
-           and commit_bench capture metrics)\n"
-          f
-    | None, _ -> ());
-    match !baseline with
-    | None -> ()
-    | Some f -> (
-        match json_check_baseline f with
-        | [] ->
-            Printf.eprintf "perf check: wall throughput within %.0f%% of %s\n"
-              max_regress_pct f
-        | failures ->
-            List.iter (Printf.eprintf "perf check failed: %s\n") failures;
-            exit 1)
-  end
+  let wanted = List.map section_name args in
+  let selected =
+    if wanted = [] then
+      (* --trace/--metrics/--metrics-json alone mean "show me the
+         instrumented run", not "trace all thirteen sections" *)
+      if !trace_file <> None || !show_metrics || !metrics_json_file <> None
+      then [ ("kvstore", kvstore) ]
+      else all_sections
+    else List.filter (fun (name, _) -> List.mem name wanted) all_sections
+  in
+  Printf.printf
+    "Mnemosyne benchmark harness (simulated time; see EXPERIMENTS.md)\n";
+  List.iter (fun (_, f) -> f ()) selected;
+  (match !json_file with Some f -> json_write f | None -> ());
+  (match (!metrics_json_file, !metrics_json_data) with
+  | Some f, Some data ->
+      Out_channel.with_open_text f (fun oc ->
+          Out_channel.output_string oc data)
+  | Some f, None ->
+      Printf.eprintf
+        "bench: --metrics-json %s: no instrumented section ran (kvstore \
+         and commit_bench capture metrics)\n"
+        f
+  | None, _ -> ());
+  match !baseline with
+  | None -> ()
+  | Some f -> (
+      match json_check_baseline f with
+      | [] ->
+          Printf.eprintf "perf check: wall throughput within %.0f%% of %s\n"
+            max_regress_pct f
+      | failures ->
+          List.iter (Printf.eprintf "perf check failed: %s\n") failures;
+          exit 1)

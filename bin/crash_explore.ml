@@ -33,8 +33,6 @@
 open Cmdliner
 module Cp = Scm.Crashpoint
 
-let nslots = Workload.Stress_model.default_nslots
-
 (* ------------------------------------------------------------------ *)
 (* Directory plumbing                                                  *)
 
@@ -69,44 +67,18 @@ let reset_or_die dir =
       exit 2
 
 (* ------------------------------------------------------------------ *)
-(* The deterministic workload (shared model with crash_stress)         *)
-
-let ensure_data inst =
-  let slot = Mnemosyne.pstatic inst "stress.data" 8 in
-  Mnemosyne.atomically inst (fun tx ->
-      match Int64.to_int (Mtm.Txn.load tx slot) with
-      | 0 ->
-          let a = Mtm.Txn.alloc tx (nslots * 8) ~slot in
-          for i = 0 to nslots - 1 do
-            Mtm.Txn.store tx (a + (8 * i)) 0L
-          done;
-          a
-      | a -> a)
-
-let run_updates inst ~seed ~txns =
-  let data = ensure_data inst in
-  let cslot = Mnemosyne.pstatic inst "stress.count" 8 in
-  let count =
-    Mnemosyne.atomically inst (fun tx -> Int64.to_int (Mtm.Txn.load tx cslot))
-  in
-  for t = count to count + txns - 1 do
-    Mnemosyne.atomically inst (fun tx ->
-        List.iter
-          (fun (s, v) -> Mtm.Txn.store tx (data + (8 * s)) v)
-          (Workload.Stress_model.txn_updates ~seed ~t ());
-        Mtm.Txn.store tx cslot (Int64.of_int (t + 1)))
-  done
+(* The workload: Explore.Stress, or its serving variant               *)
 
 (* The serving-mode workload (--serving): each committed update is
    preceded by two rejected requests — one shed by the admission policy
    before any transaction exists, one admitted but cancelled mid-flight
    after staging mangled stores to the very slots the committed stream
    owns.  The crash sweep then covers every persistence op across those
-   rejections, and [verify]'s replay-of-committed-count invariant is
-   exactly the claim under test: a shed or cancelled request leaves
-   zero persistent side effects, at every crash point. *)
+   rejections, and {!Explore.Stress.verify}'s replay-of-committed-count
+   invariant is exactly the claim under test: a shed or cancelled
+   request leaves zero persistent side effects, at every crash point. *)
 let run_serving_updates inst ~seed ~txns =
-  let data = ensure_data inst in
+  let data = Explore.Stress.ensure_data inst in
   let cslot = Mnemosyne.pstatic inst "stress.count" 8 in
   let count =
     Mnemosyne.atomically inst (fun tx -> Int64.to_int (Mtm.Txn.load tx cslot))
@@ -138,42 +110,6 @@ let run_serving_updates inst ~seed ~txns =
           (Workload.Stress_model.txn_updates ~seed ~t ());
         Mtm.Txn.store tx cslot (Int64.of_int (t + 1)))
   done
-
-(* The section-6.2 invariant: memory must equal the deterministic
-   replay of exactly the committed-transaction count. *)
-let verify inst ~seed =
-  let slot = Mnemosyne.pstatic inst "stress.data" 8 in
-  let cslot = Mnemosyne.pstatic inst "stress.count" 8 in
-  let data =
-    Mnemosyne.atomically inst (fun tx -> Int64.to_int (Mtm.Txn.load tx slot))
-  in
-  let count =
-    Mnemosyne.atomically inst (fun tx -> Int64.to_int (Mtm.Txn.load tx cslot))
-  in
-  if data = 0 then
-    if count = 0 then Ok 0
-    else
-      Error
-        (Printf.sprintf "count=%d but the data array was never allocated"
-           count)
-  else begin
-    let expected = Workload.Stress_model.model_after ~seed count in
-    let bad =
-      Mnemosyne.atomically inst (fun tx ->
-          let bad = ref 0 in
-          for i = 0 to nslots - 1 do
-            if Mtm.Txn.load tx (data + (8 * i)) <> expected.(i) then incr bad
-          done;
-          !bad)
-    in
-    if bad = 0 then Ok count
-    else
-      Error
-        (Printf.sprintf
-           "%d/%d slots disagree with the replay of %d committed \
-            transactions"
-           bad nslots count)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* One phase = open (full recovery) + optionally the workload          *)
@@ -223,7 +159,7 @@ let run_phase cfg ~dev ~dir ~seed ~crash_at ~updates =
     let open_ops = Cp.count cp in
     (if updates then
        if cfg.serving then run_serving_updates inst ~seed:cfg.seed ~txns:cfg.txns
-       else run_updates inst ~seed:cfg.seed ~txns:cfg.txns);
+       else Explore.Stress.run_updates inst ~seed:cfg.seed ~txns:cfg.txns);
     (inst, open_ops)
   with
   | inst, open_ops -> (machine, obs, chk, Done (inst, open_ops, Cp.count cp))
@@ -251,7 +187,7 @@ let sanitizer_msg chk =
 (* The full per-phase verdict: workload invariant, then the sanitizer,
    then (when enabled) a pmfsck pass over the recovered image. *)
 let verify_phase cfg inst ~chk =
-  match verify inst ~seed:cfg.seed with
+  match Explore.Stress.verify inst ~seed:cfg.seed with
   | Error _ as e -> e
   | Ok c -> (
       match sanitizer_msg chk with
@@ -297,7 +233,7 @@ let build_setup cfg =
     Mnemosyne.open_instance ~geometry:cfg.geometry ~mtm:cfg.mtm ~seed:cfg.seed
       ~machine ~dir:(setup_dir cfg) ()
   in
-  ignore (ensure_data inst);
+  ignore (Explore.Stress.ensure_data inst);
   Mnemosyne.close inst;
   machine.Scm.Env.dev
 

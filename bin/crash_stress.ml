@@ -22,14 +22,8 @@
 
 open Cmdliner
 
-let nslots = Workload.Stress_model.default_nslots
-
-(* Deterministic (slot, value) writes of transaction [t] and their
-   replay live in {!Workload.Stress_model}, shared with crash_explore
-   so both drivers verify against the same ground truth. *)
-let txn_updates ~seed ~t = Workload.Stress_model.txn_updates ~seed ~t ()
-let model_after ~seed count = Workload.Stress_model.model_after ~seed count
-
+(* The workload and its verifier are {!Explore.Stress}, shared with
+   crash_explore so both drivers check the same ground truth. *)
 let run rounds seed txns_max dir =
   (* refuses to delete anything that is not an instance layout — a
      mistyped --dir must not become rm -rf on user data *)
@@ -40,65 +34,29 @@ let run rounds seed txns_max dir =
       exit 2);
   let mtm = { Mtm.Txn.default_config with truncation = Mtm.Txn.Async } in
   let rng = Random.State.make [| seed; 0xc0de |] in
-  let total_txns = ref 0 in
   let inst = ref (Mnemosyne.open_instance ~mtm ~dir ()) in
+  let verify what =
+    match Explore.Stress.verify !inst ~seed with
+    | Ok count -> count
+    | Error msg ->
+        Printf.printf "%s: FAILURE - %s\n" what msg;
+        exit 1
+  in
   Printf.printf "crash_stress: %d rounds, seed %d, state in %s\n%!" rounds
     seed dir;
   for round = 1 to rounds do
     (* recover and verify *)
-    let slot = Mnemosyne.pstatic !inst "stress.data" 8 in
-    let cslot = Mnemosyne.pstatic !inst "stress.count" 8 in
-    let data =
-      Mnemosyne.atomically !inst (fun tx ->
-          match Int64.to_int (Mtm.Txn.load tx slot) with
-          | 0 ->
-              let a = Mtm.Txn.alloc tx (nslots * 8) ~slot in
-              for i = 0 to nslots - 1 do
-                Mtm.Txn.store tx (a + (8 * i)) 0L
-              done;
-              a
-          | a -> a)
-    in
-    let count =
-      Mnemosyne.atomically !inst (fun tx ->
-          Int64.to_int (Mtm.Txn.load tx cslot))
-    in
-    let expected = model_after ~seed count in
-    let mismatches =
-      Mnemosyne.atomically !inst (fun tx ->
-          let bad = ref 0 in
-          for i = 0 to nslots - 1 do
-            if Mtm.Txn.load tx (data + (8 * i)) <> expected.(i) then incr bad
-          done;
-          !bad)
-    in
-    if mismatches > 0 then begin
-      Printf.printf
-        "round %d: FAILURE - %d slots disagree with the replay of %d committed transactions\n"
-        round mismatches count;
-      exit 1
-    end;
+    let count = verify (Printf.sprintf "round %d" round) in
     Printf.printf "round %3d: recovered, %5d committed txns verified OK%!"
       round count;
     (* run a random burst of transactions *)
     let burst = 1 + Random.State.int rng txns_max in
-    for t = count to count + burst - 1 do
-      Mnemosyne.atomically !inst (fun tx ->
-          List.iter
-            (fun (s, v) -> Mtm.Txn.store tx (data + (8 * s)) v)
-            (txn_updates ~seed ~t);
-          Mtm.Txn.store tx cslot (Int64.of_int (t + 1)))
-    done;
-    total_txns := !total_txns + burst;
+    Explore.Stress.run_updates !inst ~seed ~txns:burst;
     Printf.printf "; ran %4d more; crashing...\n%!" burst;
     (* adversarial crash + reboot *)
     inst := Mnemosyne.reincarnate !inst
   done;
-  (* final verification *)
-  let cslot = Mnemosyne.pstatic !inst "stress.count" 8 in
-  let final =
-    Mnemosyne.atomically !inst (fun tx -> Int64.to_int (Mtm.Txn.load tx cslot))
-  in
+  let final = verify "final check" in
   Printf.printf
     "\nall %d rounds passed; %d transactions survived %d crashes intact.\n"
     rounds final rounds;

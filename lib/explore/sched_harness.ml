@@ -107,21 +107,6 @@ let instance_dir cfg = Filename.concat cfg.dir "run"
 
 let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755
 
-(* The shared array the transactions fight over, zeroed at setup time —
-   before the history hook is installed, so the oracle's initial image
-   is exactly all-zeroes. *)
-let ensure_data inst nslots =
-  let slot = Mnemosyne.pstatic inst "sched.data" 8 in
-  Mnemosyne.atomically inst (fun tx ->
-      match Int64.to_int (Mtm.Txn.load tx slot) with
-      | 0 ->
-          let a = Mtm.Txn.alloc tx (nslots * 8) ~slot in
-          for i = 0 to nslots - 1 do
-            Mtm.Txn.store tx (a + (8 * i)) 0L
-          done;
-          a
-      | a -> a)
-
 (* One run under [schedule]: the recorded schedule (or the replayed
    one) owns every same-time tiebreak and every backoff draw, so the
    pair (cfg, schedule trace) reproduces the run bit-exactly. *)
@@ -148,7 +133,10 @@ let run ?schedule cfg =
     Mnemosyne.open_instance ~geometry ~latency:lat ~mtm:(mtm_config cfg)
       ~seed:cfg.seed ~machine ~dir:idir ()
   in
-  let data = ensure_data inst cfg.nslots in
+  (* The shared array the transactions fight over, zeroed at setup time
+     — before the history hook is installed, so the oracle's initial
+     image is exactly all-zeroes. *)
+  let data = Stress.ensure_data ~root:"sched.data" ~nslots:cfg.nslots inst in
   let pool = Mnemosyne.pool inst in
   let hist = Mtm.History.create () in
   Mtm.Txn.set_history_hook pool (Some (Mtm.History.add hist));
@@ -182,25 +170,14 @@ let run ?schedule cfg =
            Obs.instant_at obs Obs.Trace.Sched_decision ~ts:(Sim.now sim)
              ~arg:key));
   let contention = ref 0 in
-  (* Pipelined runs get the first-class drainer daemon: a Sim.Service
-     sweeping every thread's pending write-backs, woken by commits.  A
-     parked daemon at simulation end would deadlock the run, so the
-     last worker to finish stops it (stop drains leftovers first). *)
-  let service = ref None in
-  if cfg.pipeline then begin
-    let denv =
-      Scm.Env.view machine
-        ~delay:(fun ns -> Sim.delay sim ns)
-        ~now:(fun () -> Sim.now sim)
-    in
-    let dview = Pmem.view (Mtm.Txn.pmem pool) denv in
-    let svc =
-      Sim.Service.spawn sim ~work:(fun () -> Mtm.Txn.drain_pipeline pool dview)
-    in
-    Mtm.Txn.set_drain_wake pool (Some (fun _tid -> Sim.Service.wake svc));
-    service := Some svc
-  end;
-  let running = ref cfg.threads in
+  (* Pipelined runs get one drainer daemon sweeping every thread's
+     pending write-backs, woken by commits and stopped by the last
+     worker to finish. *)
+  let drainers =
+    if cfg.pipeline then
+      Some (Mtm.Txn.Drainers.start ~per:cfg.threads sim pool)
+    else None
+  in
   (* Serving-style admission over the fuzz workload: one policy shared
      by the workers, with synthetic queue depths forcing a deterministic
      mix of (a) requests shed before any transaction exists, (b)
@@ -275,11 +252,7 @@ let run ?schedule cfg =
               | exception Mtm.Txn.Cancelled -> ()
               | exception Mtm.Txn.Contention -> incr contention)
         done;
-        decr running;
-        if !running = 0 then
-          match !service with
-          | Some svc -> Sim.Service.stop svc
-          | None -> ())
+        Option.iter Mtm.Txn.Drainers.worker_done drainers)
   done;
   Sim.run sim;
   Mtm.Txn.set_history_hook pool None;

@@ -18,7 +18,8 @@ type t = {
   base : int;
   hoard : Hoard.t;
   large : Large_alloc.t;
-  mutable exclusion : (unit -> unit) -> unit;
+  mutable locked : bool;
+  waiters : (unit -> unit) Queue.t;
   reincarnation : reincarnation;
   obs : Obs.t;
   alloc_ctr : Obs.Metrics.counter;
@@ -65,7 +66,7 @@ let create v ~base ~superblocks ~large_bytes =
   Pmem.wtstore v base magic;
   Pmem.fence v;
   let obs, alloc_ctr, free_ctr = obs_fields v in
-  { v; base; hoard; large; exclusion = (fun f -> f ());
+  { v; base; hoard; large; locked = false; waiters = Queue.create ();
     reincarnation = no_reincarnation; obs; alloc_ctr; free_ctr }
 
 let attach v ~base =
@@ -90,7 +91,8 @@ let attach v ~base =
     base;
     hoard;
     large;
-    exclusion = (fun f -> f ());
+    locked = false;
+    waiters = Queue.create ();
     obs;
     alloc_ctr;
     free_ctr;
@@ -103,14 +105,23 @@ let attach v ~base =
       };
   }
 
-let set_exclusion t f = t.exclusion <- f
 let reincarnation t = t.reincarnation
 let base t = t.base
 
+(* Every mutation holds the heap's lock, which follows {!Sim.Mutex_r}'s
+   protocol: a free lock is taken without an event, a fiber that finds
+   it held parks ({!Sim.park} needs no simulator handle), release hands
+   the lock to the first waiter, and an exception releases it.  An
+   instance's heap charges its main view, whose clock is not the
+   simulator's, so a holder yields only inside [free_prepare_small]'s
+   transactional [load]. *)
 let excl t f =
-  let result = ref None in
-  t.exclusion (fun () -> result := Some (f ()));
-  match !result with Some r -> r | None -> assert false
+  if not t.locked then t.locked <- true
+  else Sim.park (fun resume -> Queue.push resume t.waiters);
+  Fun.protect f ~finally:(fun () ->
+      match Queue.take_opt t.waiters with
+      | Some resume -> resume ()
+      | None -> t.locked <- false)
 
 let alloc ?arena t size ~extra =
   if size <= 0 then invalid_arg "Heap.pmalloc: size";

@@ -15,7 +15,12 @@
 
     The [_raw] variants skip the slot write; they exist for the
     transaction system, which routes the pointer update through its own
-    redo log and compensates allocations when a transaction aborts. *)
+    redo log and compensates allocations when a transaction aborts.
+
+    Every mutation holds a lock inside the heap, granted first come
+    first served, so simulated fibers may share one heap: a fiber that
+    finds it held parks ({!Sim.park}) until the holder returns or
+    raises. *)
 
 type t
 
@@ -65,10 +70,6 @@ val free_commit_small : t -> int -> unit
 
 val block_bytes : t -> int -> int
 (** Usable bytes of an allocated block. *)
-
-val set_exclusion : t -> ((unit -> unit) -> unit) -> unit
-(** Install a mutual-exclusion wrapper around heap mutations (e.g. a
-    simulator mutex) for multi-threaded use. *)
 
 type reincarnation = {
   log_records_replayed : int;

@@ -50,6 +50,17 @@ let default_config =
     cm = Cm_legacy;
   }
 
+let pipelined_config =
+  {
+    default_config with
+    ts_lease = 32;
+    lock_stripes = 8;
+    group_commit = true;
+    pipeline = true;
+    pipe_window = 32;
+    cm = Cm_adaptive;
+  }
+
 exception Contention
 exception Cancelled
 exception Abort_internal
@@ -283,6 +294,10 @@ let check_config c =
     Error
       "the pipelined commit defers data write-back behind a durable redo \
        record and requires redo logging"
+  else if c.pipeline && c.truncation = Async then
+    Error
+      "the pipelined commit hands its write-back to the drainer and has no \
+       asynchronous truncation"
   else if c.pipeline && c.pipe_window < 1 then Error "pipe_window < 1"
   else Ok ()
 
@@ -1056,14 +1071,47 @@ let process_one_truncation th dview =
 
 (* One sweep of a pipelined-commit drainer over its shard.  One drainer
    fiber serializes every producer's flush traffic through itself, so
-   deployments with many threads run several daemons (one per 4 workers
-   in the benches) and wake the one owning the committing thread via
-   the [drain_wake] hook. *)
+   deployments with many threads run several daemons ({!Drainers}) and
+   wake the one owning the committing thread via the [drain_wake]
+   hook. *)
 let drain_pipeline ?shard pool dview =
   let mine th =
     match shard with None -> true | Some (k, n) -> th.id mod n = k
   in
   retire ~cost:Descriptor dview (List.filter mine pool.threads)
+
+(* The last worker stops the daemons because a daemon still parked
+   when the simulation ends is a {!Sim.Deadlock}. *)
+module Drainers = struct
+  type t = { svcs : Sim.Service.t array; mutable live : int }
+
+  let wake d tid = Sim.Service.wake d.svcs.(tid mod Array.length d.svcs)
+
+  let start ?(period_ns = 0) ~per sim pool =
+    if not pool.cfg.pipeline then
+      invalid_arg "Txn.Drainers.start: the pool's commit is not pipelined";
+    let n = max 1 (pool.cfg.nthreads / max 1 per) in
+    let machine = (Pmem.default_view pool.pmem).Pmem.env.Scm.Env.machine in
+    let svcs =
+      Array.init n (fun k ->
+          let env =
+            Scm.Env.view machine
+              ~delay:(fun ns -> Sim.delay sim ns)
+              ~now:(fun () -> Sim.now sim)
+          in
+          let dview = Pmem.view pool.pmem env in
+          Sim.Service.spawn sim ~work:(fun () ->
+              if period_ns > 0 then Sim.delay sim period_ns;
+              drain_pipeline ~shard:(k, n) pool dview))
+    in
+    let d = { svcs; live = pool.cfg.nthreads } in
+    pool.drain_wake <- Some (wake d);
+    d
+
+  let worker_done d =
+    d.live <- d.live - 1;
+    if d.live = 0 then Array.iter Sim.Service.stop d.svcs
+end
 
 (* ------------------------------------------------------------------ *)
 (* Pipelined commit: the write-back drainer                            *)

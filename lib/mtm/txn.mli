@@ -100,8 +100,8 @@ type config = {
           transaction [n]'s write-back drains; readers are correct
           because the committed values are visible through the cache,
           and a crash is covered because recovery replays the still
-          unretired record.  Wire a daemon via {!set_drain_wake} +
-          {!drain_pipeline}; without one, producers drain their own
+          unretired record.  Deploy the drainer daemons with
+          {!Drainers.start}; without them, producers drain their own
           queue at the window bound (batched inline truncation). *)
   pipe_window : int;
       (** Commits in flight awaiting write-back per thread before the
@@ -114,6 +114,11 @@ val default_config : config
     2^18 locks; every scaling knob off (lease 1, one stripe, no group
     commit, no pipeline) — the exact original protocol. *)
 
+val pipelined_config : config
+(** The configuration that serves: {!default_config} with 32-timestamp
+    leases, 8 lock stripes, group commit, the pipelined commit with a
+    32-commit window, and {!Cm_adaptive}.  Run it with {!Drainers}. *)
+
 exception Contention
 (** A transaction aborted 64 times in a row. *)
 
@@ -124,8 +129,9 @@ val check_config : config -> (unit, string) result
 (** [Error reason] for a knob combination {!create_pool} rejects: fewer
     than one thread, a lease below 1, a stripe count that is not a
     power of two, group commit without the pipeline, undo logging with
-    asynchronous truncation or the pipeline, or a pipeline window
-    below 1. *)
+    asynchronous truncation or the pipeline, the pipeline with
+    asynchronous truncation (the drainer's write-back replaces it), or
+    a pipeline window below 1. *)
 
 val create_pool :
   ?config:config -> Region.Pmem.t -> Pmheap.Heap.t option -> pool
@@ -219,16 +225,38 @@ val drain_pipeline : ?shard:int * int -> pool -> Region.Pmem.view -> bool
     no thread had work.  [shard:(k, n)] restricts the sweep to threads
     with [id mod n = k] — one drainer fiber serializes its producers'
     flush traffic, so large pools deploy several daemons, each owning a
-    shard.  Made for {!Sim.Service}:
-    [Service.spawn sim ~work:(fun () -> Txn.drain_pipeline pool dview)]
-    — the daemon's traffic overlaps the producers' next transactions. *)
+    shard.  {!Drainers} runs it as the work of {!Sim.Service} daemons,
+    whose traffic overlaps the producers' next transactions. *)
 
 val set_drain_wake : pool -> (int -> unit) option -> unit
 (** Hook the drainer daemons' wake-up ({!Sim.Service.wake}).  Called
     with the committing thread's id whenever a pipelined commit queues
     write-back work, so a sharded deployment wakes the daemon owning
     that thread; [None] (the default) leaves producers draining their
-    own queues at the window bound. *)
+    own queues at the window bound.  {!Drainers.start} installs it. *)
+
+(** The write-back drainers of a pipelined pool, deployed on a
+    simulator: the paper's log-manager thread (section 5), sharded. *)
+module Drainers : sig
+  type t
+
+  val start : ?period_ns:int -> per:int -> Sim.t -> pool -> t
+  (** Before the workers spawn: start [n = max 1 (nthreads / per)]
+      {!Sim.Service} daemons, daemon [k] sweeping
+      [drain_pipeline ~shard:(k, n)] from a fiber environment of its
+      own, and route thread [id]'s wake to daemon [id mod n].  A
+      positive [period_ns] (default 0) delays every sweep by that much
+      simulated time: a log manager that gets the CPU once a period.
+      @raise Invalid_argument when the pool's commit is not pipelined. *)
+
+  val wake : t -> int -> unit
+  (** Wake the daemon owning thread [id] — what a commit does — so its
+      sweep starts now (an admission controller's boost). *)
+
+  val worker_done : t -> unit
+  (** Each of the pool's [nthreads] workers calls this as it finishes;
+      the last call stops every daemon, which drains what is left. *)
+end
 
 (** {1 Statistics and observability} *)
 

@@ -34,7 +34,7 @@ val ph_backoff : int  (** Contention backoff between attempts. *)
 
 val ph_drain_wait : int
 (** Blocked on the pipelined commit's in-flight window: the drain
-    queue is full and the producer polls until the drainer retires a
+    queue is full and the producer parks until the drainer retires a
     pending write-back. *)
 
 val ph_other : int

@@ -69,19 +69,12 @@ let tenant_root_prefix = "serve.tenant."
 type req = { key : int64; is_get : bool; arrival_ns : int }
 
 (* The per-worker STM configuration: the pipelined commit path (the
-   one whose log-full stall this module's admission policy bounds),
-   with the same knob settings as the pipeline arm of scale_bench. *)
+   one whose log-full stall this module's admission policy bounds). *)
 let mtm_config cfg =
   {
-    Mtm.Txn.default_config with
+    Mtm.Txn.pipelined_config with
     nthreads = cfg.workers;
     log_cap_words = cfg.log_cap_words;
-    ts_lease = 32;
-    lock_stripes = 8;
-    group_commit = true;
-    pipeline = true;
-    pipe_window = 32;
-    cm = Mtm.Txn.Cm_adaptive;
   }
 
 let us_of_ns ns = float_of_int ns /. 1e3
@@ -91,15 +84,6 @@ let run ?sim ?geometry ~dir cfg =
   if cfg.workers < 1 then invalid_arg "Serve.run: workers < 1";
   let sim = match sim with Some s -> s | None -> Sim.create () in
   let inst = Mnemosyne.open_instance ?geometry ~mtm:(mtm_config cfg) ~dir () in
-  let machine = Mnemosyne.machine inst in
-  let env_of () =
-    Scm.Env.view machine
-      ~delay:(fun ns -> Sim.delay sim ns)
-      ~now:(fun () -> Sim.now sim)
-  in
-  let heap_mu = Sim.Mutex_r.create sim in
-  Pmheap.Heap.set_exclusion (Mnemosyne.heap inst) (fun f ->
-      Sim.Mutex_r.with_lock heap_mu f);
   (* One persistent root per tenant, created before the simulation so
      workers only ever bind existing trees. *)
   let stores =
@@ -128,26 +112,18 @@ let run ?sim ?geometry ~dir cfg =
   let boosts = ref 0 in
   let contention = ref 0 in
   let producers_live = ref cfg.tenants in
-  let workers_live = ref cfg.workers in
   let tenant_completed = Array.make cfg.tenants 0 in
-  (* Sharded write-back drainers, as in the pipelined scale bench: the
-     admission policy's boost path and the STM's wake hook both land on
-     the daemon owning the committing thread's shard. *)
+  (* Sharded write-back drainers: the admission policy's boost path and
+     the STM's wake hook both land on the daemon owning the committing
+     thread's shard.  [drain_period_ns > 0] models the paper's scarce
+     log manager: a daemon only gets the CPU once per period, so under
+     a burst the log genuinely fills and the two policies differ in
+     what happens next (shed vs stall). *)
   let pool = Mnemosyne.pool inst in
-  let nshards = max 1 (cfg.workers / max 1 cfg.workers_per_drainer) in
-  let svcs =
-    Array.init nshards (fun k ->
-        let dview = Region.Pmem.view (Mtm.Txn.pmem pool) (env_of ()) in
-        Sim.Service.spawn sim ~work:(fun () ->
-            (* [drain_period_ns > 0] models the paper's scarce log
-               manager: the daemon only gets the CPU once per period,
-               so under a burst the log genuinely fills and the two
-               policies differ in what happens next (shed vs stall). *)
-            if cfg.drain_period_ns > 0 then Sim.delay sim cfg.drain_period_ns;
-            Mtm.Txn.drain_pipeline ~shard:(k, nshards) pool dview))
+  let drainers =
+    Mtm.Txn.Drainers.start ~period_ns:cfg.drain_period_ns
+      ~per:cfg.workers_per_drainer sim pool
   in
-  let wake_shard tid = Sim.Service.wake svcs.(tid mod nshards) in
-  Mtm.Txn.set_drain_wake pool (Some wake_shard);
   (* Open-loop sources: one arrival process per tenant, sleeping seeded
      inter-arrival gaps and never waiting on service.  "Millions of
      simulated users" appear as the aggregate arrival process of a
@@ -200,7 +176,11 @@ let run ?sim ?geometry ~dir cfg =
      monopolize the pool. *)
   for w = 0 to cfg.workers - 1 do
     Sim.spawn sim (fun () ->
-        let env = env_of () in
+        let env =
+          Scm.Env.view (Mnemosyne.machine inst)
+            ~delay:(fun ns -> Sim.delay sim ns)
+            ~now:(fun () -> Sim.now sim)
+        in
         let th = Mnemosyne.thread inst w env in
         let tworkers =
           Array.map (fun s -> Apps.Tc_store.worker_of_thread s th env) stores
@@ -239,11 +219,11 @@ let run ?sim ?geometry ~dir cfg =
                      next request is dispatched *)
                   Obs.Metrics.incr c_shed_log;
                   Obs.instant obs Obs.Trace.Req_shed ~arg:t;
-                  wake_shard w
+                  Mtm.Txn.Drainers.wake drainers w
               | Ok () ->
                   if Admission.should_boost adm ~used ~cap then begin
                     incr boosts;
-                    wake_shard w
+                    Mtm.Txn.Drainers.wake drainers w
                   end;
                   (if r.is_get then
                      ignore
@@ -268,8 +248,7 @@ let run ?sim ?geometry ~dir cfg =
               end
         in
         loop ();
-        decr workers_live;
-        if !workers_live = 0 then Array.iter Sim.Service.stop svcs)
+        Mtm.Txn.Drainers.worker_done drainers)
   done;
   Sim.run sim;
   let mstats = Mtm.Txn.stats pool in

@@ -282,6 +282,53 @@ let prop_heap_survives_crash_after_every_op =
           | 0 -> true
           | addr -> Pmheap.Heap.block_bytes heap' addr > 0))
 
+(* ------------------------------------------------------------------ *)
+(* The heap's lock *)
+
+(* Two fibers share one heap.  The first holds the lock across a
+   transactional read inside [free_prepare_small] that takes simulated
+   time (here its [load] callback); the second's [pmalloc_raw] parks
+   until the first returns — or raises, which must release the lock as
+   well.  The main view's clock is not the simulator's, so the second
+   fiber's allocation itself costs no simulated time. *)
+let run_lock_race ~load =
+  with_tmpdir (fun dir ->
+      let _, v = stack dir in
+      let _, heap = make_heap v in
+      let blk = Pmheap.Heap.pmalloc_raw heap 64 in
+      let sim = Sim.create () in
+      let first_done = ref (-1) and second_done = ref (-1) in
+      Sim.spawn sim (fun () ->
+          (try
+             ignore
+               (Pmheap.Heap.free_prepare_small heap blk ~load:(fun a ->
+                    Sim.delay sim 1_000;
+                    load a;
+                    Region.Pmem.load v a))
+           with Exit -> ());
+          first_done := Sim.now sim);
+      Sim.spawn sim (fun () ->
+          ignore (Pmheap.Heap.pmalloc_raw heap 64);
+          second_done := Sim.now sim);
+      Sim.run sim;
+      (* allocate again, outside any fiber: a free lock is taken
+         without the simulator *)
+      ignore (Pmheap.Heap.pmalloc_raw heap 64);
+      (!first_done, !second_done))
+
+let test_heap_lock_holds_off_second_fiber () =
+  let first, second = run_lock_race ~load:ignore in
+  Alcotest.(check bool) "the holder parked inside the lock" true
+    (first >= 1_000);
+  Alcotest.(check int) "the allocation waited for the holder's return"
+    first second
+
+let test_heap_lock_released_on_exception () =
+  let first, second = run_lock_race ~load:(fun _ -> raise Exit) in
+  Alcotest.(check int) "the holder raised after its delay" 1_000 first;
+  Alcotest.(check int) "the allocation ran when the holder raised" first
+    second
+
 let () =
   Alcotest.run "heap"
     [
@@ -312,6 +359,13 @@ let () =
             test_alloc_in_one_run_free_in_next;
           Alcotest.test_case "large survives reboot" `Quick
             test_large_survives_reboot;
+        ] );
+      ( "lock",
+        [
+          Alcotest.test_case "holds off a second fiber" `Quick
+            test_heap_lock_holds_off_second_fiber;
+          Alcotest.test_case "released by an exception" `Quick
+            test_heap_lock_released_on_exception;
         ] );
       ( "properties",
         [

@@ -161,9 +161,6 @@ let test_concurrent_structures_and_crash () =
       let inst = Mnemosyne.open_instance ~mtm ~dir () in
       let machine = Mnemosyne.machine inst in
       let sim = Sim.create () in
-      let heap_mu = Sim.Mutex_r.create sim in
-      Pmheap.Heap.set_exclusion (Mnemosyne.heap inst) (fun f ->
-          Sim.Mutex_r.with_lock heap_mu f);
       let slot = Mnemosyne.pstatic inst "conc.bp" 8 in
       let tree =
         Mnemosyne.atomically inst (fun tx -> Pstruct.Bp_tree.create tx ~slot)

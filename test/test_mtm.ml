@@ -1123,6 +1123,20 @@ pipelined commit")
         (fun () ->
           ignore (pool_of ~config:{ small_cfg with group_commit = true } pmem)))
 
+(* The drainer's write-back replaces asynchronous truncation, which the
+   pipelined commit would otherwise ignore without a word. *)
+let test_pipeline_rejects_async () =
+  with_tmpdir (fun dir ->
+      let _, pmem = stack dir in
+      let config =
+        { Mtm.Txn.pipelined_config with truncation = Mtm.Txn.Async }
+      in
+      Alcotest.check_raises "pipeline with async truncation rejected"
+        (Invalid_argument
+           "Txn.create_pool: the pipelined commit hands its write-back to \
+the drainer and has no asynchronous truncation")
+        (fun () -> ignore (pool_of ~config pmem)))
+
 let pipeline_cfg =
   {
     small_cfg with
@@ -1255,6 +1269,127 @@ let test_pipeline_backpressure_resumes_at_pop () =
       Alcotest.(check bool) "the producer waited for the sweep" true
         (!pop_at > !pushed_at && !pushed_at >= 0);
       Alcotest.(check int) "resumed at the drainer's pop" !pop_at !returned_at)
+
+(* [Drainers.start]'s deployment on [nthreads] workers, each bound to
+   its own line: every worker commits [commits] transactions, then
+   polls (up to 1 ms) until a daemon has retired its queue; [finish]
+   runs last, just before the worker reports done.  Returns, per
+   worker, how long after its last commit the queue emptied (-1 if it
+   did not), and the bound threads. *)
+let run_drainers ?period_ns ?(finish = ignore) ~nthreads ~per ~commits dir =
+  let m, pmem = stack dir in
+  let config =
+    { Mtm.Txn.pipelined_config with nthreads; log_cap_words = 4096 }
+  in
+  let pool = pool_of ~config pmem in
+  let data = data_region pmem (64 * nthreads) in
+  let sim = Sim.create () in
+  let d = Mtm.Txn.Drainers.start ?period_ns ~per sim pool in
+  let retired = Array.make nthreads (-1) in
+  let threads = Array.make nthreads None in
+  for i = 0 to nthreads - 1 do
+    Sim.spawn sim (fun () ->
+        let th = Mtm.Txn.thread pool i (sim_env sim m) in
+        threads.(i) <- Some th;
+        for k = 1 to commits do
+          Mtm.Txn.run th (fun tx ->
+              Mtm.Txn.store tx (data + (64 * i)) (Int64.of_int k))
+        done;
+        let committed = Sim.now sim in
+        while
+          Mtm.Txn.pending_truncations th > 0
+          && Sim.now sim < committed + 1_000_000
+        do
+          Sim.delay sim 100
+        done;
+        if Mtm.Txn.pending_truncations th = 0 then
+          retired.(i) <- Sim.now sim - committed;
+        finish th;
+        Mtm.Txn.Drainers.worker_done d)
+  done;
+  Sim.run sim;
+  (retired, Array.map Option.get threads)
+
+(* 8 threads at 4 per daemon: two shards.  Each commit wakes the daemon
+   owning its thread, and only that daemon sweeps the thread: nothing
+   else retires a queue this short (4 commits, a 32-commit window), so
+   a thread whose shard went unserved keeps its write-backs. *)
+let test_drainers_every_shard_retires () =
+  with_tmpdir (fun dir ->
+      let retired, threads =
+        run_drainers ~nthreads:8 ~per:4 ~commits:4 dir
+      in
+      Array.iteri
+        (fun i t ->
+          Alcotest.(check bool)
+            (Printf.sprintf "thread %d retired by its shard's daemon" i)
+            true (t >= 0))
+        retired;
+      Array.iter
+        (fun th ->
+          Alcotest.(check int) "nothing pending" 0
+            (Mtm.Txn.pending_truncations th))
+        threads)
+
+(* A positive period holds each sweep back: the sweep a commit wakes
+   retires it no earlier than a period later, where an unthrottled
+   daemon retires it at once. *)
+let test_drainers_period_delays_sweep () =
+  let period = 100_000 in
+  let retire ?period_ns () =
+    with_tmpdir (fun dir ->
+        let retired, _ =
+          run_drainers ?period_ns ~nthreads:1 ~per:4 ~commits:1 dir
+        in
+        retired.(0))
+  in
+  let prompt = retire () in
+  Alcotest.(check bool) "unthrottled: retired before the period" true
+    (prompt >= 0 && prompt < period);
+  Alcotest.(check bool) "throttled: retired no earlier than the period" true
+    (retire ~period_ns:period () >= period)
+
+(* The last worker's report stops every daemon, and the stop drains
+   first: with sweeps throttled past the run (10 ms period), the
+   workers give up waiting, finish with their write-backs queued, and
+   the run still ends with every queue empty and no daemon parked —
+   a parked one would raise [Sim.Deadlock].  Without the reports the
+   parked daemons do deadlock the run. *)
+let test_drainers_stop_drains_and_exits () =
+  with_tmpdir (fun dir ->
+      let queued = ref 0 in
+      let retired, threads =
+        run_drainers ~period_ns:10_000_000 ~nthreads:8 ~per:4 ~commits:4
+          ~finish:(fun th ->
+            queued := !queued + Mtm.Txn.pending_truncations th)
+          dir
+      in
+      Alcotest.(check int) "no thread retired while working" 0
+        (Array.fold_left (fun n t -> if t >= 0 then n + 1 else n) 0 retired);
+      Alcotest.(check int) "every commit queued at the reports" 32 !queued;
+      Array.iter
+        (fun th ->
+          Alcotest.(check int) "the stops drained it" 0
+            (Mtm.Txn.pending_truncations th))
+        threads);
+  with_tmpdir (fun dir ->
+      let m, pmem = stack dir in
+      let pool = pool_of ~config:Mtm.Txn.pipelined_config pmem in
+      let sim = Sim.create () in
+      ignore (Mtm.Txn.Drainers.start ~per:4 sim pool);
+      Sim.spawn sim (fun () -> ignore (Mtm.Txn.thread pool 0 (sim_env sim m)));
+      Alcotest.(check bool) "unreported workers leave daemons parked" true
+        (match Sim.run sim with
+        | () -> false
+        | exception Sim.Deadlock _ -> true));
+  with_tmpdir (fun dir ->
+      let _, pmem = stack dir in
+      Alcotest.check_raises "a commit that is not pipelined has no drainers"
+        (Invalid_argument
+           "Txn.Drainers.start: the pool's commit is not pipelined")
+        (fun () ->
+          ignore
+            (Mtm.Txn.Drainers.start ~per:4 (Sim.create ()) (pool_of pmem))))
 
 (* Wait-die: an older transaction that meets a younger owner parks on
    the lock and resumes the moment the owner's commit releases it (then
@@ -1534,6 +1669,8 @@ let () =
             test_pipeline_commit_recovery;
           Alcotest.test_case "group commit requires the pipeline" `Quick
             test_group_commit_requires_pipeline;
+          Alcotest.test_case "pipeline rejects async truncation" `Quick
+            test_pipeline_rejects_async;
           Alcotest.test_case "read before write-back sees committed value"
             `Quick test_pipeline_read_before_write_back;
           Alcotest.test_case "crash between fence and write-back recovers"
@@ -1542,6 +1679,15 @@ let () =
             `Quick test_pipeline_backpressure_resumes_at_pop;
           Alcotest.test_case "wait-die waiter resumes at the release" `Quick
             test_wait_die_resumes_at_release;
+        ] );
+      ( "drainers",
+        [
+          Alcotest.test_case "every shard retires its threads" `Quick
+            test_drainers_every_shard_retires;
+          Alcotest.test_case "a period delays the sweep" `Quick
+            test_drainers_period_delays_sweep;
+          Alcotest.test_case "the last report stops every daemon" `Quick
+            test_drainers_stop_drains_and_exits;
         ] );
       ( "abort interleavings",
         [

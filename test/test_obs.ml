@@ -729,21 +729,16 @@ let test_stall_and_drain_wait_same_commit () =
       let tp = Obs.Txprof.create (Mtm.Txn.obs pool).Obs.metrics in
       Mtm.Txn.set_txprof pool (Some tp);
       let sim = Sim.create () in
-      let sim_env =
-        Scm.Env.view m
-          ~delay:(fun ns -> Sim.delay sim ns)
-          ~now:(fun () -> Sim.now sim)
+      let drainers =
+        Mtm.Txn.Drainers.start ~period_ns:1_000 ~per:1 sim pool
       in
       Sim.spawn sim (fun () ->
-          let th = Mtm.Txn.thread pool 0 sim_env in
-          let dview = Region.Pmem.view (Mtm.Txn.pmem pool) sim_env in
-          let svc =
-            Sim.Service.spawn sim ~work:(fun () ->
-                Sim.delay sim 1_000;
-                Mtm.Txn.drain_pipeline pool dview)
+          let th =
+            Mtm.Txn.thread pool 0
+              (Scm.Env.view m
+                 ~delay:(fun ns -> Sim.delay sim ns)
+                 ~now:(fun () -> Sim.now sim))
           in
-          Mtm.Txn.set_drain_wake pool
-            (Some (fun _tid -> Sim.Service.wake svc));
           let wide i =
             Mtm.Txn.run th (fun tx ->
                 (* 16 distinct cache lines: the daemon's write-back
@@ -755,7 +750,7 @@ let test_stall_and_drain_wait_same_commit () =
           in
           wide 1;
           wide 2;
-          Sim.Service.stop svc);
+          Mtm.Txn.Drainers.worker_done drainers);
       Sim.run sim;
       Alcotest.(check int) "commits recorded" 2 (Obs.Txprof.count tp);
       Alcotest.(check int) "the second commit stalled" 1
