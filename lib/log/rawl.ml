@@ -355,7 +355,7 @@ let truncate_all t =
 
 let advance_head_post ~records t ~words =
   if words < 0 || words > used_words t then
-    invalid_arg "Rawl.advance_head: beyond tail";
+    invalid_arg "Rawl.advance_head_group: beyond tail";
   (match pmchk t.v with
   | None -> ()
   | Some chk ->
@@ -367,16 +367,10 @@ let advance_head_post ~records t ~words =
   end
   else post_head t ~off:raw ~parity:t.head_parity ~tpos:t.head_tpos
 
-let advance_head t ~words =
-  advance_head_post ~records:1 t ~words;
-  Pmem.fence t.v;
-  note_truncate t ~words
-
 (* The drainer's batched retirement: every listed log's head word is
    posted, then ONE combined fence (the running fiber's log leads, as
    in {!flush_group}) makes them all durable, then the per-log metrics
-   fire.  Equivalent to [advance_head] on each log but with a single
-   fence for the whole sweep. *)
+   fire: a single fence for the whole sweep. *)
 let advance_head_group entries =
   match List.filter (fun (_, _, words) -> words > 0) entries with
   | [] -> ()

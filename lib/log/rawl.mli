@@ -67,7 +67,7 @@ val append : t -> int64 array -> append_result
 (** Stream a record into the log (not yet durable).  [Full] when the
     free space cannot hold it; the caller truncates (or waits for the
     asynchronous truncation daemon) and retries.  The returned span is
-    what {!advance_head} takes to consume this record. *)
+    what {!advance_head_group} takes to consume this record. *)
 
 val append_sub : t -> int64 array -> len:int -> append_result
 (** [append_sub t buf ~len] appends the first [len] words of [buf]:
@@ -101,12 +101,6 @@ val set_owner : t -> int -> unit
 
 val truncate_all : t -> unit
 (** Drop every record: head := tail, one atomic word write + fence. *)
-
-val advance_head : t -> words:int -> unit
-(** Consume [words] stored words from the head: the span of the one
-    record being retired (the durability sanitizer retires its
-    per-record sessions in lockstep with the head).  Atomic, like
-    {!truncate_all}. *)
 
 val advance_head_group : (t * int * int) list -> unit
 (** [advance_head_group [(log, records, words); ...]] retires records

@@ -82,15 +82,9 @@ type pool = {
   ts : Timestamp.t;
   cfg : config;
   log_bases : int array;
-  mutable logs : Pmlog.Rawl.t array;
-      (* recovery-time handles, for inspection *)
+  log_found : (int * int) array;
+      (* (used, capacity) words per slot, as recovery found them *)
   obs : Obs.t;
-  (* per-phase commit-latency breakdown (paper table 5's spirit) *)
-  h_total : Obs.Metrics.histogram;
-  h_log_write : Obs.Metrics.histogram;
-  h_fence : Obs.Metrics.histogram;
-  h_write_back : Obs.Metrics.histogram;
-  h_stm : Obs.Metrics.histogram;
   h_gc_group : Obs.Metrics.histogram;  (* group-commit members per fence *)
   fc_aliased : Obs.Metrics.counter;
       (* aborts where the conflicting owner held the lock for a
@@ -194,7 +188,6 @@ and thread = {
   prof_phases : int array;
   mutable prof_start : int;
   mutable prof_mark : int;
-  mutable prof_stall_ns : int;  (* log-full stall inside the current append *)
   mutable prof_retries : int;
   mutable prof_bytes : int;
 }
@@ -244,17 +237,12 @@ let set_drain_wake pool w = pool.drain_wake <- w
 
 type log_usage = { slot : int; base : int; cap_words : int; used : int }
 
-(* Occupancy as of the recovery-time attach (thread-local handles made
-   by {!thread} advance independently); regionctl reads this right
-   after opening an instance, where it is exact. *)
 let log_usage pool =
   Array.to_list
     (Array.mapi
-       (fun i log ->
-         { slot = i; base = pool.log_bases.(i);
-           cap_words = Pmlog.Rawl.capacity log;
-           used = Pmlog.Rawl.used_words log })
-       pool.logs)
+       (fun i (used, cap_words) ->
+         { slot = i; base = pool.log_bases.(i); cap_words; used })
+       pool.log_found)
 
 (* ------------------------------------------------------------------ *)
 (* Pool creation and recovery                                          *)
@@ -321,13 +309,8 @@ let create_pool ?(config = default_config) pmem heap =
       ts = Timestamp.create ();
       cfg = config;
       log_bases = Array.make config.nthreads 0;
-      logs = [||];
+      log_found = Array.make config.nthreads (0, 0);
       obs;
-      h_total = Obs.Metrics.histogram m "mtm.commit.total_ns";
-      h_log_write = Obs.Metrics.histogram m "mtm.commit.log_write_ns";
-      h_fence = Obs.Metrics.histogram m "mtm.commit.fence_ns";
-      h_write_back = Obs.Metrics.histogram m "mtm.commit.write_back_ns";
-      h_stm = Obs.Metrics.histogram m "mtm.commit.stm_ns";
       h_gc_group = Obs.Metrics.histogram m "mtm.gc.group_size";
       fc_aliased = Obs.Metrics.counter m "mtm.lock.false_conflicts";
       recovered = 0;
@@ -361,9 +344,11 @@ let create_pool ?(config = default_config) pmem heap =
       (Array.init config.nthreads (fun i ->
            let base = log_base_of v config i in
            pool.log_bases.(i) <- base;
-           Pmlog.Rawl.attach v ~base))
+           let log, records = Pmlog.Rawl.attach v ~base in
+           pool.log_found.(i) <-
+             (Pmlog.Rawl.used_words log, Pmlog.Rawl.capacity log);
+           (log, records)))
   in
-  pool.logs <- Array.of_list (List.map fst logs_and_records);
   (match config.version_mgmt with
   | Lazy_redo ->
       (* Redo: every surviving record is a committed transaction; replay
@@ -486,7 +471,6 @@ let thread pool i env =
     prof_phases = Array.make Obs.Txprof.nphases 0;
     prof_start = 0;
     prof_mark = 0;
-    prof_stall_ns = 0;
     prof_retries = 0;
     prof_bytes = 0;
   }
@@ -506,7 +490,6 @@ let set_race pool h =
   pool.race <- h;
   Lock_table.set_race pool.locks h;
   Timestamp.set_race pool.ts h;
-  Array.iter (fun l -> Pmlog.Rawl.set_race l h) pool.logs;
   List.iter (fun th -> Pmlog.Rawl.set_race th.log h) pool.threads
 
 (* ---------------------------------------------------------------- *)
@@ -1300,6 +1283,8 @@ let append_record tx buf ~len =
           pool.log_full_stalls <- pool.log_full_stalls + 1;
           let env = tx.th.view.Pmem.env in
           let t0 = env.Scm.Env.now () in
+          (* the stall is its own ledger phase, split out of the log *)
+          if pool.txprof != None then prof_phase tx.th Obs.Txprof.ph_log;
           (if pool.cfg.pipeline then
              (* the log is full only because commits wait in
                 [pending_q] (checked above): the drainer's work, done
@@ -1312,10 +1297,10 @@ let append_record tx buf ~len =
              while process_one_truncation tx.th tx.th.view do
                ()
              done);
-          let dur = env.Scm.Env.now () - t0 in
-          (* let the profiler split the stall out of the log phase *)
-          tx.th.prof_stall_ns <- tx.th.prof_stall_ns + dur;
-          Obs.complete pool.obs Obs.Trace.Log_stall ~ts:t0 ~dur
+          if pool.txprof != None then
+            prof_phase tx.th Obs.Txprof.ph_trunc_wait;
+          Obs.complete pool.obs Obs.Trace.Log_stall ~ts:t0
+            ~dur:(env.Scm.Env.now () - t0)
             ~arg:(Queue.length tx.th.pending_q);
           if retried > 1 then
             failwith
@@ -1394,13 +1379,9 @@ let draw_cts_validated tx =
      done);
   cts
 
-(* Each commit path returns its (log_write, fence, write_back)
-   simulated-ns breakdown; {!commit} charges the remainder to the STM
-   bookkeeping bucket so the four phases sum to the total exactly. *)
 let commit_redo tx =
   let th = tx.th in
   let pool = th.pool in
-  let env = th.view.Pmem.env in
   let cts = draw_cts_validated tx in
   if pool.txprof != None then prof_phase th Obs.Txprof.ph_validate;
   (* Ascending-address write order, encoded into the thread's reusable
@@ -1415,23 +1396,13 @@ let commit_redo tx =
     Bytes.set_int64_le enc (8 * ((2 * i) + 2)) (Int64.of_int addr);
     Wset.blit_value tx.wset slot enc (8 * ((2 * i) + 3))
   done;
-  let t0 = env.Scm.Env.now () in
   (match pmchk th with
   | None -> ()
   | Some chk ->
       Scm.Pmcheck.commit_begin chk ~log:(th_log_base th) th.sorted n);
   let span = append_record tx enc ~len in
-  let t1 = env.Scm.Env.now () in
   (if pool.txprof != None then begin
-     (* log phase up to t1, minus any log-full stall drained inline,
-        which is its own phase (truncation wait) *)
-     let stall = th.prof_stall_ns in
-     th.prof_stall_ns <- 0;
-     th.prof_phases.(Obs.Txprof.ph_trunc_wait) <-
-       th.prof_phases.(Obs.Txprof.ph_trunc_wait) + stall;
-     th.prof_phases.(Obs.Txprof.ph_log) <-
-       th.prof_phases.(Obs.Txprof.ph_log) + (t1 - th.prof_mark) - stall;
-     th.prof_mark <- t1;
+     prof_phase th Obs.Txprof.ph_log;
      th.prof_bytes <- th.prof_bytes + (8 * len)
    end);
   (* the durability point: one fence — shared with the other
@@ -1440,7 +1411,6 @@ let commit_redo tx =
   (match pmchk th with
   | None -> ()
   | Some chk -> Scm.Pmcheck.commit_logged chk ~log:(th_log_base th));
-  let t2 = env.Scm.Env.now () in
   if pool.txprof != None then prof_phase th Obs.Txprof.ph_fence;
   for i = 0 to n - 1 do
     (* the ascending write-back reads each value back out of the staged
@@ -1471,39 +1441,34 @@ let commit_redo tx =
      if pool.cfg.pipeline then
        match pool.drain_wake with Some wake -> wake th.id | None -> ()
    end);
-  let t3 = env.Scm.Env.now () in
   if pool.txprof != None then prof_phase th Obs.Txprof.ph_write_back;
   release_locks tx ~committed:true ~version:cts;
   (match pmchk th with
   | None -> ()
   | Some chk -> Scm.Pmcheck.commit_end chk ~log:(th_log_base th));
   if pool.cfg.pipeline then pipe_backpressure th;
-  (cts, t1 - t0, t2 - t1, t3 - t2)
+  cts
 
 let commit_undo tx =
   let th = tx.th in
   let pool = th.pool in
-  let env = th.view.Pmem.env in
   (* same validate-before-cts window (and lease floor) as {!commit_redo} *)
   let cts = draw_cts_validated tx in
   if pool.txprof != None then prof_phase th Obs.Txprof.ph_validate;
   (* new values are already in place; make them durable, then the
      atomic log truncation is the commit point.  The per-store log
-     appends were charged eagerly in {!store}, so log_write is 0. *)
-  let t0 = env.Scm.Env.now () in
+     appends were charged eagerly in {!store}, so the log phase is 0. *)
   let n = sorted_addrs_of th tx.old_vals in
   flush_sorted_lines th.view th.sorted n;
-  let t1 = env.Scm.Env.now () in
   if pool.txprof != None then prof_phase th Obs.Txprof.ph_write_back;
   Pmlog.Rawl.truncate_all th.log;
   if th.cur_txid <> 0 then Obs.flow pool.obs ~phase:`End ~id:th.cur_txid;
-  let t2 = env.Scm.Env.now () in
   if pool.txprof != None then prof_phase th Obs.Txprof.ph_fence;
   release_locks tx ~committed:true ~version:cts;
   (match pmchk th with
   | None -> ()
   | Some chk -> Scm.Pmcheck.commit_end chk ~log:(th_log_base th));
-  (cts, 0, t2 - t1, t1 - t0)
+  cts
 
 (* The oracle's view of a committed transaction: first-read values, the
    write set with its final values, and the commit timestamp.  Only
@@ -1602,19 +1567,14 @@ let commit tx =
       | Lazy_redo -> Wset.size tx.wset
       | Eager_undo -> Wset.size tx.old_vals
     in
-    let cts, lw, fe, wb =
+    let cts =
       match pool.cfg.version_mgmt with
       | Lazy_redo -> commit_redo tx
       | Eager_undo -> commit_undo tx
     in
     finalize_heap_effects tx;
-    let total = env.Scm.Env.now () - t0 in
-    Obs.Metrics.record pool.h_total total;
-    Obs.Metrics.record pool.h_log_write lw;
-    Obs.Metrics.record pool.h_fence fe;
-    Obs.Metrics.record pool.h_write_back wb;
-    Obs.Metrics.record pool.h_stm (max 0 (total - lw - fe - wb));
-    Obs.complete pool.obs Obs.Trace.Txn_commit ~ts:t0 ~dur:total ~arg:ws_size;
+    Obs.complete pool.obs Obs.Trace.Txn_commit ~ts:t0
+      ~dur:(env.Scm.Env.now () - t0) ~arg:ws_size;
     prof_record tx ~writes:ws_size;
     pool.commits <- pool.commits + 1;
     (match pool.history with
@@ -1672,13 +1632,6 @@ let run th f =
          keeps retrying keeps its (low, old) stamp and ages into
          priority *)
       set_running th pool.next_txid;
-      (* [prof_stall_ns] accumulates in [append_record] whether or not a
-         ledger is installed, so it must start clean unconditionally: a
-         stale stall from an unprofiled transaction leaking into the
-         first profiled one would land in its truncation-wait phase AND
-         be subtracted from its log phase — double-counted against the
-         phase-sum invariant (regression in test_obs.ml). *)
-      th.prof_stall_ns <- 0;
       (if pool.txprof != None then begin
          Array.fill th.prof_phases 0 Obs.Txprof.nphases 0;
          let now = env.Scm.Env.now () in

@@ -287,19 +287,18 @@ val abort_attribution : pool -> (int * int) list
     first: which addresses the contention manager is fighting over. *)
 
 val obs : pool -> Obs.t
-(** The observability handle of the machine this pool runs on.  Commit
-    latencies feed the [mtm.commit.*_ns] histograms on its metrics
-    registry (total / log_write / fence / write_back / stm, the paper
-    table-5 breakdown); transaction lifecycle events feed its trace
-    when tracing is enabled. *)
+(** The observability handle of the machine this pool runs on.
+    Transaction lifecycle events feed its trace when tracing is
+    enabled; a ledger installed with {!set_txprof} records its phase
+    histograms in its metrics registry. *)
 
 type log_usage = { slot : int; base : int; cap_words : int; used : int }
 
 val log_usage : pool -> log_usage list
-(** Per-thread-slot log occupancy as of pool creation (recovery-time
-    attach).  Thread-local handles advance independently afterwards, so
-    this is exact only before threads run — which is when inspection
-    tools ([regionctl stats]) read it. *)
+(** Per-thread-slot log occupancy as recovery found it: the words in
+    use when pool creation attached each log, before it replayed and
+    truncated them.  Later commits do not change it; [regionctl stats]
+    reads it right after opening an instance. *)
 
 (** {1 Schedule-exploration hooks}
 
@@ -325,8 +324,8 @@ val set_txprof : pool -> Obs.Txprof.t option -> unit
     one-branch discipline as the exploration hooks).  When set, every
     commit — read-only included — records a phase-partitioned profile
     entry: execution, validation, log encode+append, fence, write-back,
-    truncation wait, backoff, and residual bookkeeping sum exactly to
-    the transaction's duration (first attempt begin to commit return).
+    truncation wait, backoff, drain wait and residual bookkeeping sum
+    exactly to the transaction's duration (first attempt begin to commit return).
     Maintaining the ledger reads the simulated clock but never charges
     time, draws randomness, or allocates on the steady-state path. *)
 

@@ -40,6 +40,9 @@ val ph_drain_wait : int
 val ph_other : int
 (** Residual commit bookkeeping not in a named phase. *)
 
+val phase_name : int -> string
+(** The phase's name in its histogram, [mtm.txn.phase.<name>_ns]. *)
+
 type entry = {
   mutable txid : int;
   mutable tid : int;

@@ -87,7 +87,8 @@ type log_state = {
   mutable inflight_n : int;  (* -1 = no commit in flight *)
   sessions : int array Queue.t;
       (* write sets whose records are durable but not yet truncated,
-         oldest first -- the order {!Rawl.advance_head} retires them *)
+         oldest first -- the order {!Rawl.advance_head_group} retires
+         them *)
   mutable undo_open : int list;
       (* addrs covered by undo records of the open eager transaction *)
 }

@@ -191,14 +191,3 @@ let wtstore_bytes (env : Env.t) addr buf off len =
   for i = 0 to nwords - 1 do
     wtstore env (addr + (8 * i)) (Word.get buf (off + (8 * i)))
   done
-
-let persist (env : Env.t) addr len =
-  if len > 0 then begin
-    let last = Cache.line_base (addr + len - 1) in
-    let a = ref (Cache.line_base addr) in
-    while !a <= last do
-      flush env !a;
-      a := !a + Cache.line_size
-    done;
-    fence env
-  end

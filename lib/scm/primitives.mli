@@ -57,7 +57,3 @@ val store_bytes : Env.t -> int -> Bytes.t -> int -> int -> unit
 val wtstore_bytes : Env.t -> int -> Bytes.t -> int -> int -> unit
 (** Streaming multi-byte write of an 8-byte-aligned, 8-byte-multiple
     range. *)
-
-val persist : Env.t -> int -> int -> unit
-(** [persist env addr len] flushes every cache line covering
-    [addr, addr+len) and fences: the "make this durable now" idiom. *)

@@ -254,6 +254,17 @@ module Schedule = struct
           if t <> lit then
             raise (Parse (Printf.sprintf "expected %S, got %S" lit t))
         in
+        (* a count of entries [per] tokens long each, all still to come *)
+        let count what ~per =
+          let n = int what in
+          let left = Array.length toks - !pos in
+          if n < 0 || n > left / per then
+            raise
+              (Parse
+                 (Printf.sprintf "%s %d out of range (%d tokens left)" what n
+                    left));
+          n
+        in
         try
           expect "mnemosyne-sched-trace";
           let version = int "version" in
@@ -275,15 +286,22 @@ module Schedule = struct
             meta := (k, v) :: !meta
           done;
           expect "keys";
-          let nkeys = int "key count" in
+          let nkeys = count "key count" ~per:1 in
           let keys = Array.init nkeys (fun _ -> int "key") in
           expect "draws";
-          let ndraws = int "draw count" in
+          let ndraws = count "draw count" ~per:2 in
           let draw_bounds = Array.make ndraws 0 in
           let draw_vals = Array.make ndraws 0 in
           for i = 0 to ndraws - 1 do
-            draw_bounds.(i) <- int "draw bound";
-            draw_vals.(i) <- int "draw value"
+            let bound = int "draw bound" in
+            let v = int "draw value" in
+            if bound <= 0 || v < 0 || v >= bound then
+              raise
+                (Parse
+                   (Printf.sprintf "draw %d: value %d outside [0, %d)" i v
+                      bound));
+            draw_bounds.(i) <- bound;
+            draw_vals.(i) <- v
           done;
           Ok
             {

@@ -106,7 +106,10 @@ module Schedule : sig
   (** Write the trace (policy, seed, meta, every decision) to a file. *)
 
   val load : string -> (t, string) result
-  (** Rebuild a replaying schedule from a {!save}d file. *)
+  (** Rebuild a replaying schedule from a {!save}d file.  [Error] for a
+      malformed file: among others, a negative key or draw count, a
+      count larger than the tokens left, and a draw whose bound is not
+      positive or whose value lies outside [\[0, bound)]. *)
 end
 
 type t

@@ -3,9 +3,10 @@
    nor be required by another — `stats --json` emits JSON while `fsck`
    without the flag stays text, and vice versa — and `fsck` exits 0
    clean, 1 on a missing instance, 2 on findings.  sched_explore: a
-   knob combination the transaction system rejects is a one-line
-   error, not an uncaught exception.  bench: an unknown argument is an
-   error, and the host gate fails on a key its baseline lacks. *)
+   knob combination the transaction system rejects, or a malformed
+   trace, is a one-line error, not an uncaught exception.  bench: an
+   unknown argument is an error, and the host gate fails on a key its
+   baseline lacks. *)
 
 let with_tmpdir f =
   let dir = Filename.temp_file "mnemocli" "" in
@@ -159,6 +160,28 @@ let test_sched_explore_rejects_bad_knobs () =
           [ "--group-commit" ];
         ])
 
+(* A malformed trace is a one-line error too, not an uncaught
+   exception. *)
+let test_sched_explore_rejects_bad_trace () =
+  with_tmpdir (fun dir ->
+      List.iter
+        (fun body ->
+          let path = Filename.concat dir "bad.trace" in
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc
+                ("mnemosyne-sched-trace 1\npolicy shuffle\nseed 1\n" ^ body));
+          let code, out =
+            run_exe (exe "bin/sched_explore") [ "--replay"; path; "--dir"; dir ]
+          in
+          let what = String.escaped body in
+          Alcotest.(check int) (what ^ " exits 2") 2 code;
+          Alcotest.(check bool)
+            (what ^ " is one line")
+            true
+            (starts_with "sched_explore: " out
+            && not (String.contains out '\n')))
+        [ "keys -1\ndraws 0\n"; "keys 0\ndraws -4\n"; "keys 0\ndraws 1\n4 9\n" ])
+
 (* A typo must not run nothing and exit 0, and an expected-output
    file generated from one would pin an empty section. *)
 let test_bench_rejects_unknown_args () =
@@ -212,6 +235,8 @@ let () =
         [
           Alcotest.test_case "invalid knobs are a one-line error" `Quick
             test_sched_explore_rejects_bad_knobs;
+          Alcotest.test_case "a malformed trace is a one-line error" `Quick
+            test_sched_explore_rejects_bad_trace;
         ] );
       ( "bench",
         [

@@ -250,7 +250,7 @@ let test_rawl_advance_head_partial () =
       in
       Pmlog.Rawl.flush log;
       (* Consume just the first record. *)
-      Pmlog.Rawl.advance_head log ~words:(List.hd spans);
+      Pmlog.Rawl.advance_head_group [ (log, 1, List.hd spans) ];
       let _, v' = reboot m dir in
       let _, records = Pmlog.Rawl.attach v' ~base in
       Alcotest.check record_list "first record consumed"

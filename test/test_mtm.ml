@@ -213,6 +213,55 @@ let test_recovery_orders_across_threads () =
       Alcotest.(check int64) "timestamp order wins" 3L
         (Region.Pmem.load v' data))
 
+(* [log_usage] reports each slot's log as recovery found it, before the
+   replay truncated it: here 20 unretired records in slot 0. *)
+let test_log_usage_reports_recovery () =
+  with_tmpdir (fun dir ->
+      let m, pmem = stack dir in
+      let cfg = { small_cfg with truncation = Mtm.Txn.Async } in
+      let pool = pool_of ~config:cfg pmem in
+      let data = data_region pmem 4096 in
+      let th = Mtm.Txn.thread pool 0 (Region.Pmem.default_view pmem).env in
+      for i = 0 to 19 do
+        Mtm.Txn.run th (fun tx -> Mtm.Txn.store tx (data + (8 * i)) 1L)
+      done;
+      Scm.Crash.inject
+        ~policy:{ cache = Scm.Crash.Drop_dirty; wc = Scm.Crash.Wc_apply_all }
+        m;
+      let _, pmem' = reboot m dir in
+      let pool' = pool_of ~config:cfg pmem' in
+      Alcotest.(check int) "20 txns replayed" 20
+        (Mtm.Txn.recovered_txns pool');
+      (* the stored span of one such record, appended to a scratch log *)
+      let v' = Region.Pmem.default_view pmem' in
+      let cap_words = cfg.log_cap_words in
+      let scratch =
+        Pmlog.Rawl.create v'
+          ~base:(Region.Pmem.pmap v' (Pmlog.Rawl.region_bytes_for ~cap_words))
+          ~cap_words
+      in
+      let span =
+        match
+          Pmlog.Rawl.append scratch
+            (Array.make (Mtm.Redo_log.encoded_words ~nwrites:1) 0L)
+        with
+        | Pmlog.Rawl.Appended span -> span
+        | Pmlog.Rawl.Full -> Alcotest.fail "scratch log full"
+      in
+      let usage = Mtm.Txn.log_usage pool' in
+      Alcotest.(check int) "one entry per slot" cfg.nthreads
+        (List.length usage);
+      List.iter
+        (fun (u : Mtm.Txn.log_usage) ->
+          Alcotest.(check int)
+            (Printf.sprintf "slot %d used" u.slot)
+            (if u.slot = 0 then 20 * span else 0)
+            u.used;
+          Alcotest.(check int)
+            (Printf.sprintf "slot %d capacity" u.slot)
+            cap_words u.cap_words)
+        usage)
+
 let test_crash_stress_all_or_nothing () =
   (* The paper's crash stress test: transactions perform known updates;
      after a crash, every transaction's writes are either fully present
@@ -1602,6 +1651,8 @@ let () =
             test_uncommitted_never_applied_committed_replayed;
           Alcotest.test_case "recovery orders across threads" `Quick
             test_recovery_orders_across_threads;
+          Alcotest.test_case "log usage reports what recovery found" `Quick
+            test_log_usage_reports_recovery;
           Alcotest.test_case "crash stress all-or-nothing" `Slow
             test_crash_stress_all_or_nothing;
         ] );

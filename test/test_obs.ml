@@ -595,12 +595,10 @@ let test_phase_sum_invariant () =
           contains ~what:"flight dump" "Flow_start" dump))
 
 (* Regression: log-full stall time is charged to exactly one phase of
-   the transaction that suffered it.  The stall accumulator lives on
-   the thread and is drained by the instrumented commit path; a stall
-   served while no profiler was installed must not leak into the first
-   instrumented commit — [run] resets the accumulator unconditionally,
-   not only when a ledger is attached.  The leak shows up as a phase
-   sum exceeding the entry's total. *)
+   the transaction that suffered it, and a stall served while no
+   profiler was installed must not leak into the first instrumented
+   commit.  The leak shows up as a phase sum exceeding the entry's
+   total. *)
 let test_stall_not_leaked_across_install () =
   with_tmpdir (fun dir ->
       let m = Scm.Env.make_machine ~seed:7 ~nframes:4096 () in
@@ -693,7 +691,7 @@ let test_drain_wait_phase () =
 
 (* The compound case the two previous tests take separately (ISSUE 9,
    satellite 2): one commit whose append stalls on a full log
-   ([ph_trunc_wait], subtracted from the log phase) AND whose push then
+   ([ph_trunc_wait], split out of the log phase) AND whose push then
    blocks in the in-flight window ([ph_drain_wait]) — the regime a serving
    workload hits under a real drainer daemon.  Construction: a 1-deep window
    over a log that fits exactly one wide record, with a daemon that gets the
@@ -769,6 +767,98 @@ let test_stall_and_drain_wait_same_commit () =
               e.Obs.Txprof.total_ns stall dwait)
         (Obs.Txprof.top tp);
       Alcotest.(check bool) "one commit carries both phases" true !compound)
+
+(* The breakdown [bench kvstore] prints: the hsums of the ledger's nine
+   phase histograms add up exactly to the hsum of its total histogram,
+   so the printed shares sum to 100%.  [workload] runs on a fresh pool
+   of [config] with the ledger installed and returns a description of
+   the regime it reached. *)
+let check_phase_hsums config workload =
+  with_tmpdir (fun dir ->
+      let m = Scm.Env.make_machine ~seed:7 ~nframes:4096 () in
+      let backing = Region.Backing_store.open_dir dir in
+      let pmem = Region.Pmem.open_instance m backing in
+      let pool = Mtm.Txn.create_pool ~config pmem None in
+      let metrics = (Mtm.Txn.obs pool).Obs.metrics in
+      Mtm.Txn.set_txprof pool (Some (Obs.Txprof.create metrics));
+      let v = Region.Pmem.default_view pmem in
+      let base = Region.Pmem.pmap v 65536 in
+      ignore (Region.Pmem.load v base);
+      workload m pool v base;
+      let hsum name = Obs.Metrics.hsum (Obs.Metrics.histogram metrics name) in
+      let phases =
+        List.init Obs.Txprof.nphases (fun i ->
+            hsum
+              (Printf.sprintf "mtm.txn.phase.%s_ns" (Obs.Txprof.phase_name i)))
+      in
+      let total = hsum "mtm.txn.total_ns" in
+      Alcotest.(check bool) "transactions recorded" true (total > 0);
+      Alcotest.(check int) "phase hsums add up to the total hsum" total
+        (List.fold_left ( + ) 0 phases))
+
+let test_phase_hsums_async_stalls () =
+  check_phase_hsums
+    {
+      Mtm.Txn.default_config with
+      nthreads = 1;
+      truncation = Mtm.Txn.Async;
+      log_cap_words = 64;
+    }
+    (fun _ pool v base ->
+      let th = Mtm.Txn.thread pool 0 v.env in
+      for k = 0 to 19 do
+        Mtm.Txn.run th (fun tx ->
+            for j = 0 to 3 do
+              Mtm.Txn.store tx (base + (k * 256) + (j * 8)) 1L
+            done)
+      done;
+      Alcotest.(check bool) "the log filled" true
+        ((Mtm.Txn.stats pool).Mtm.Txn.log_full_stalls > 0))
+
+let test_phase_hsums_undo () =
+  check_phase_hsums
+    {
+      Mtm.Txn.default_config with
+      nthreads = 1;
+      version_mgmt = Mtm.Txn.Eager_undo;
+      log_cap_words = 4096;
+    }
+    (fun _ pool v base ->
+      let th = Mtm.Txn.thread pool 0 v.env in
+      for i = 1 to 20 do
+        Mtm.Txn.run th (fun tx ->
+            for w = 0 to i mod 5 do
+              Mtm.Txn.store tx (base + (64 * w)) (Int64.of_int i)
+            done)
+      done)
+
+let test_phase_hsums_pipelined () =
+  check_phase_hsums
+    { Mtm.Txn.pipelined_config with nthreads = 4; log_cap_words = 4096 }
+    (fun m pool _ base ->
+      let sim = Sim.create () in
+      let drainers = Mtm.Txn.Drainers.start ~per:2 sim pool in
+      for i = 0 to 3 do
+        Sim.spawn sim (fun () ->
+            let th =
+              Mtm.Txn.thread pool i
+                (Scm.Env.view m
+                   ~delay:(fun ns -> Sim.delay sim ns)
+                   ~now:(fun () -> Sim.now sim))
+            in
+            for k = 1 to 40 do
+              (* a shared word and a private one: conflicts and retries *)
+              Mtm.Txn.run th (fun tx ->
+                  let x = Mtm.Txn.load tx base in
+                  Mtm.Txn.store tx base (Int64.add x 1L);
+                  Mtm.Txn.store tx (base + 4096 + (64 * ((8 * i) + (k mod 8))))
+                    (Int64.of_int k))
+            done;
+            Mtm.Txn.Drainers.worker_done drainers)
+      done;
+      Sim.run sim;
+      Alcotest.(check bool) "transactions retried" true
+        ((Mtm.Txn.stats pool).Mtm.Txn.retries > 0))
 
 (* The disabled path must stay allocation-free: with no trace and no
    ledger installed every hook is one branch, and a commit's footprint
@@ -887,6 +977,12 @@ let () =
             test_stall_and_drain_wait_same_commit;
           Alcotest.test_case "drain wait phase partitions exactly" `Quick
             test_drain_wait_phase;
+          Alcotest.test_case "phase hsums sum to total: async stalls" `Quick
+            test_phase_hsums_async_stalls;
+          Alcotest.test_case "phase hsums sum to total: eager undo" `Quick
+            test_phase_hsums_undo;
+          Alcotest.test_case "phase hsums sum to total: pipelined" `Quick
+            test_phase_hsums_pipelined;
         ] );
       ( "integration",
         [

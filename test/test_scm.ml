@@ -230,16 +230,6 @@ let test_fence_bandwidth_model () =
   Alcotest.(check int) "large drain is bandwidth-bound" 256_000
     (Latency_model.streaming_write_ns lat (1024 * 1024))
 
-let test_persist_range () =
-  let m = machine () in
-  let env = Env.standalone m in
-  let data = Bytes.make 300 'x' in
-  Primitives.store_bytes env 40 data 0 300;
-  Primitives.persist env 40 300;
-  let back = Bytes.create 300 in
-  Scm_device.read_into m.dev 40 back 0 300;
-  Alcotest.(check bytes) "range durable" data back
-
 (* ------------------------------------------------------------------ *)
 (* Crash injection *)
 
@@ -288,7 +278,8 @@ let crashpoint_workload env =
   Primitives.wtstore env 8 2L;
   Primitives.fence env;
   Primitives.store env 64 3L;
-  Primitives.persist env 64 8
+  Primitives.flush env 64;
+  Primitives.fence env
 
 let test_crashpoint_counts_deterministically () =
   let count_once () =
@@ -602,7 +593,6 @@ let () =
           Alcotest.test_case "latency charges" `Quick test_latency_charges;
           Alcotest.test_case "fence bandwidth model" `Quick
             test_fence_bandwidth_model;
-          Alcotest.test_case "persist range" `Quick test_persist_range;
         ] );
       ( "crash",
         [

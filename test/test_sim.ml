@@ -453,6 +453,43 @@ let test_draw_bound_mismatch_falls_back () =
   Alcotest.(check bool) "abandoned draws reported as leftover" true
     (Sim.Schedule.replay_leftover loaded > 0)
 
+(* A trace file is outside input: [load] returns [Error] for each
+   malformed field instead of raising or replaying it. *)
+let load_text body =
+  let path = Filename.temp_file "sched" ".trace" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc "mnemosyne-sched-trace 1\npolicy shuffle\nseed 1\n";
+      output_string oc body);
+  let r = Sim.Schedule.load path in
+  Sys.remove path;
+  r
+
+let check_rejects field bodies =
+  (match load_text "keys 2\n5 7\ndraws 1\n8 3\n" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "the well-formed trace: %s" e);
+  List.iter
+    (fun body ->
+      match load_text body with
+      | Ok _ -> Alcotest.failf "%s: %S loaded" field body
+      | Error _ -> ())
+    bodies
+
+let test_load_rejects_key_count () =
+  check_rejects "key count" [ "keys -1\ndraws 0\n"; "keys 5\n1 2\ndraws 0\n" ]
+
+let test_load_rejects_draw_count () =
+  check_rejects "draw count"
+    [ "keys 0\ndraws -4\n"; "keys 0\ndraws 3\n8 1\n" ]
+
+let test_load_rejects_draw_bound () =
+  check_rejects "draw bound"
+    [ "keys 0\ndraws 1\n0 0\n"; "keys 0\ndraws 1\n-3 0\n" ]
+
+let test_load_rejects_draw_value () =
+  check_rejects "draw value"
+    [ "keys 0\ndraws 1\n8 8\n"; "keys 0\ndraws 1\n8 -1\n" ]
+
 (* The service wake-token protocol cannot lose a wakeup.  Audit of the
    three windows: (1) a wake during the daemon's work phase finds it
    unparked and leaves a token ([wakes_pending]) the loop consumes
@@ -661,6 +698,14 @@ let () =
             test_replay_outliving_trace_falls_back;
           Alcotest.test_case "draw bound mismatch falls back" `Quick
             test_draw_bound_mismatch_falls_back;
+          Alcotest.test_case "load rejects a bad key count" `Quick
+            test_load_rejects_key_count;
+          Alcotest.test_case "load rejects a bad draw count" `Quick
+            test_load_rejects_draw_count;
+          Alcotest.test_case "load rejects a bad draw bound" `Quick
+            test_load_rejects_draw_bound;
+          Alcotest.test_case "load rejects a draw out of range" `Quick
+            test_load_rejects_draw_value;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
