@@ -1111,16 +1111,12 @@ let kvstore () =
     Mnemosyne.atomically inst (fun tx ->
         Pstruct.Phashtable.create tx ~slot ~buckets:1024)
   in
-  let env = (Mnemosyne.view inst).Region.Pmem.env in
   let kg = Workload.Keygen.create ~seed:11 () in
-  let lat = latencies () in
   let lag = 16 in
   for k = 0 to 499 do
     let key k = Bytes.of_string (Printf.sprintf "kv%06d" k) in
-    let t0 = env.now () in
     Mnemosyne.atomically inst (fun tx ->
         Pstruct.Phashtable.put tx table (key k) (Workload.Keygen.value kg 256));
-    Obs.Metrics.record lat (env.now () - t0);
     if k >= lag then
       Mnemosyne.atomically inst (fun tx ->
           ignore (Pstruct.Phashtable.remove tx table (key (k - lag))))
@@ -1147,10 +1143,6 @@ let kvstore () =
          let name = Obs.Txprof.phase_name i in
          row name (h (Printf.sprintf "mtm.txn.phase.%s_ns" name)))
     @ [ row "total" total ]);
-  Workload.Report.note
-    (Printf.sprintf "%d commits; whole-txn latency %.2f us mean, %.2f us p99"
-       (Obs.Metrics.hcount total) (mean_us lat)
-       (float_of_int (Obs.Metrics.percentile lat 99.0) /. 1000.0));
   (match !trace_file with
   | Some file ->
       Obs.Trace.save_chrome obs.Obs.flight file;

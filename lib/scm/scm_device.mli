@@ -11,7 +11,12 @@
 
     The arena can be saved to and reloaded from a file, which is how we
     emulate machine reboot: a crash test saves the post-crash image,
-    constructs a fresh device from it, and re-runs recovery. *)
+    constructs a fresh device from it, and re-runs recovery.
+
+    The arena is one buffer per frame.  Every slot starts on one
+    shared, never-written all-zero frame and gets a buffer of its own
+    on its first write; a read never allocates.  A device costs its
+    slot array plus the frames it has written. *)
 
 type t
 
@@ -20,7 +25,8 @@ val frame_size : int
     address space. *)
 
 val create : nframes:int -> unit -> t
-(** [create ~nframes ()] makes a zeroed device of [nframes] frames. *)
+(** [create ~nframes ()] makes a zeroed device of [nframes] frames,
+    none of them allocated yet. *)
 
 val nframes : t -> int
 
@@ -43,7 +49,8 @@ val read_into : t -> int -> Bytes.t -> int -> int -> unit
 val write_from : t -> int -> Bytes.t -> int -> int -> unit
 (** Durable multi-byte write, used by the cache write-back path (a full
     line reaching memory) and by frame swap-in.  Not atomic beyond 64-bit
-    granularity; callers must not rely on more. *)
+    granularity; callers must not rely on more.  It counts as one write,
+    to the frame of its first byte. *)
 
 val write_count : t -> int -> int
 (** [write_count t frame] is the number of word/line writes that have
@@ -52,17 +59,23 @@ val write_count : t -> int -> int
 val total_writes : t -> int
 
 val save_image : t -> string -> unit
-(** Persist the full arena (and geometry) to a file. *)
+(** Persist the full arena (and geometry) to a file: the magic, the
+    frame size and [nframes], then every frame in address order.  The
+    file always has that full length, but a never-written frame is a
+    hole, so the file takes the disk space of the frames written.  The
+    last frame is written last, so a save cut short leaves a file that
+    {!load_image} rejects. *)
 
 val load_image : string -> t
 (** Reconstruct a device from a saved image.  Raises [Failure] unless
     the file is one {!save_image} wrote: the magic, a header frame size
-    of {!frame_size}, and exactly [nframes] frames of data. *)
+    of {!frame_size}, and exactly [nframes] frames of data.  All-zero
+    frames stay unallocated. *)
 
 val copy : t -> t
 (** A snapshot of the device; used by tests that compare pre/post-crash
-    durable state.  The copy's undo journal starts fresh and disabled
-    regardless of the source's. *)
+    durable state.  It copies the written frames only.  The copy's undo
+    journal starts fresh and disabled regardless of the source's. *)
 
 (** {1 Undo journal}
 

@@ -129,12 +129,14 @@ let run ?sim ?geometry ~dir cfg =
      simulated users" appear as the aggregate arrival process of a
      [users]-key population, not as a process per user: an open-loop
      source is exactly the limit of many independent users, and the DES
-     only needs the arrival instants. *)
+     only needs the arrival instants.  Every tenant draws its keys from
+     one Zipf table over the same population, each with its own rng. *)
+  let zipf_table = Workload.Keygen.Zipf.table ~n:cfg.users ~theta:cfg.theta in
   for t = 0 to cfg.tenants - 1 do
     Sim.spawn sim (fun () ->
         let arr = Sim.Arrival.make ~seed:(cfg.seed + (7919 * t)) cfg.arrival in
         let kg = Workload.Keygen.create ~seed:(cfg.seed + (131 * t)) () in
-        let zipf = Workload.Keygen.Zipf.make kg ~n:cfg.users ~theta:cfg.theta in
+        let zipf = Workload.Keygen.Zipf.sampler kg zipf_table in
         let continue = ref true in
         while !continue do
           let gap = Sim.Arrival.next_gap_ns arr in

@@ -10,10 +10,11 @@ let value t n =
   Bytes.init n (fun _ -> Char.chr (32 + Random.State.int t 95))
 
 module Zipf = struct
-  type dist = { rng : Random.State.t; cdf : float array }
+  type table = float array
+  type dist = { rng : Random.State.t; cdf : table }
 
-  let make rng ~n ~theta =
-    if n <= 0 then invalid_arg "Zipf.make";
+  let table ~n ~theta =
+    if n <= 0 then invalid_arg "Zipf.table";
     let weights =
       Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) theta)
     in
@@ -26,7 +27,10 @@ module Zipf = struct
         cdf.(i) <- !acc)
       weights;
     cdf.(n - 1) <- 1.0;
-    { rng; cdf }
+    cdf
+
+  let sampler rng cdf = { rng; cdf }
+  let make rng ~n ~theta = sampler rng (table ~n ~theta)
 
   let draw d =
     let u = Random.State.float d.rng 1.0 in

@@ -16,11 +16,21 @@ val value : t -> int -> Bytes.t
 
 (** Zipf-distributed ranks (hot keys), for skewed workloads. *)
 module Zipf : sig
-  type dist
+  type table
+  (** The cumulative distribution over ranks 0..n-1: [n] floats, built
+      once and shared read-only by any number of samplers. *)
 
-  val make : t -> n:int -> theta:float -> dist
+  val table : n:int -> theta:float -> table
   (** Ranks 0..n-1 with skew [theta] (0 = uniform, ~0.99 = typical
       YCSB-style skew). *)
+
+  type dist
+
+  val sampler : t -> table -> dist
+  (** Draws from [table] with the given generator's draws. *)
+
+  val make : t -> n:int -> theta:float -> dist
+  (** [sampler rng (table ~n ~theta)]. *)
 
   val draw : dist -> int
 end

@@ -131,7 +131,25 @@ let test_zipf_skew () =
   (* rank 0 must dominate and the tail must still be hit *)
   Alcotest.(check bool) "head dominates" true (counts.(0) > counts.(100) * 5);
   let tail_hits = Array.fold_left ( + ) 0 (Array.sub counts 500 500) in
-  Alcotest.(check bool) "tail sampled" true (tail_hits > 0)
+  Alcotest.(check bool) "tail sampled" true (tail_hits > 0);
+  (* Two samplers over one shared table, drawn alternately, draw what
+     [make] draws for the same seeds. *)
+  let table = Workload.Keygen.Zipf.table ~n:1000 ~theta:0.99 in
+  let shared seed =
+    Workload.Keygen.Zipf.sampler (Workload.Keygen.create ~seed ()) table
+  in
+  let own seed =
+    Workload.Keygen.Zipf.make (Workload.Keygen.create ~seed ()) ~n:1000
+      ~theta:0.99
+  in
+  let pairs x y =
+    List.init 1000 (fun _ ->
+        let rx = Workload.Keygen.Zipf.draw x in
+        (rx, Workload.Keygen.Zipf.draw y))
+  in
+  Alcotest.(check (list (pair int int)))
+    "shared-table draws equal make's" (pairs (own 2) (own 3))
+    (pairs (shared 2) (shared 3))
 
 let test_keygen_determinism () =
   let a = Workload.Keygen.create ~seed:7 () in

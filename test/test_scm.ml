@@ -80,6 +80,265 @@ let test_device_image_mismatch () =
       rejects "trailing bytes" (image ^ "\000");
       rejects "truncated" (String.sub image 0 (String.length image - 8)))
 
+(* The image header: the 8-byte magic, then the frame size and
+   [nframes] as 32-bit big-endian words. *)
+let image_header nframes =
+  let b = Bytes.create 16 in
+  Bytes.blit_string "MNEMSCM1" 0 b 0 8;
+  Bytes.set_int32_be b 8 4096l;
+  Bytes.set_int32_be b 12 (Int32.of_int nframes);
+  Bytes.to_string b
+
+(* Bytes that [f] adds to the major heap: what it allocates there
+   directly plus what of its minor allocations survives a minor
+   collection.  A count of allocations, not of the heap's size, so a
+   collection running meanwhile cannot hide any of it. *)
+let major_growth f =
+  Gc.minor ();
+  let _, _, before = Gc.counters () in
+  let x = f () in
+  Gc.minor ();
+  let _, _, after = Gc.counters () in
+  ignore (Sys.opaque_identity x);
+  int_of_float (after -. before) * (Sys.word_size / 8)
+
+(* A device costs its slot array plus the frames it has written: 16,384
+   frames are 64 MiB of address space, and a flat arena would grow the
+   heap by all of it. *)
+let first_touch_budget = 256 * 1024
+
+let test_device_first_touch_budget () =
+  let grown =
+    major_growth (fun () ->
+        let dev = Scm_device.create ~nframes:16384 () in
+        Scm_device.store64 dev 0 1L;
+        dev)
+  in
+  if grown > first_touch_budget then
+    Alcotest.failf "a 16384-frame device and one store grew the heap by %d B"
+      grown
+
+(* An image of a device that wrote only its first and last frames has
+   the full length and the flat layout, loads back within the same
+   budget, and is rejected when cut at any frame boundary. *)
+let test_device_sparse_image () =
+  let nframes = 16384 in
+  let last = (nframes * 4096) - 16 in
+  let dev = Scm_device.create ~nframes () in
+  Scm_device.store64 dev 8 0x1122L;
+  Scm_device.store64 dev last 0x3344L;
+  let path = Filename.temp_file "scm" ".img" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Scm_device.save_image dev path;
+      let zeros = Bytes.make 4096 '\000' in
+      let first_frame = Bytes.copy zeros and last_frame = Bytes.copy zeros in
+      Bytes.set_int64_le first_frame 8 0x1122L;
+      Bytes.set_int64_le last_frame 4080 0x3344L;
+      In_channel.with_open_bin path (fun ic ->
+          Alcotest.(check int64) "file length"
+            (Int64.of_int (16 + (nframes * 4096)))
+            (In_channel.length ic);
+          Alcotest.(check string) "header" (image_header nframes)
+            (really_input_string ic 16);
+          let frame = Bytes.create 4096 in
+          for f = 0 to nframes - 1 do
+            really_input ic frame 0 4096;
+            let expected =
+              if f = 0 then first_frame
+              else if f = nframes - 1 then last_frame
+              else zeros
+            in
+            if not (Bytes.equal frame expected) then
+              Alcotest.failf "frame %d differs from the flat layout" f
+          done);
+      let loaded = ref None in
+      let grown =
+        major_growth (fun () -> loaded := Some (Scm_device.load_image path))
+      in
+      if grown > first_touch_budget then
+        Alcotest.failf "loading the image grew the heap by %d B" grown;
+      let dev' = Option.get !loaded in
+      for w = 0 to (nframes * 512) - 1 do
+        if Scm_device.load64 dev' (w * 8) <> Scm_device.load64 dev (w * 8) then
+          Alcotest.failf "word %d differs after load" w
+      done;
+      for f = nframes - 1 downto 0 do
+        Unix.truncate path (16 + (f * 4096));
+        match Scm_device.load_image path with
+        | _ -> Alcotest.failf "the image cut after %d frames loaded" f
+        | exception Failure _ -> ()
+      done)
+
+(* ------------------------------------------------------------------ *)
+(* Device against a flat model *)
+
+type dev_op =
+  | Store of int * int64  (** word index, value *)
+  | Store_unchecked of int * int64  (** word index, in range or not *)
+  | Write of int * int * int  (** address, length, fill seed *)
+  | Read of int * int  (** address, length *)
+  | Load of int  (** word index *)
+  | Mark
+  | Undo of int  (** which live mark, newest first, modulo their number *)
+  | Copy
+  | Save_load
+
+let show_dev_op = function
+  | Store (w, v) -> Printf.sprintf "store w%d %Ld" w v
+  | Store_unchecked (w, v) -> Printf.sprintf "store_unchecked w%d %Ld" w v
+  | Write (a, n, s) -> Printf.sprintf "write %#x+%d (%d)" a n s
+  | Read (a, n) -> Printf.sprintf "read %#x+%d" a n
+  | Load w -> Printf.sprintf "load w%d" w
+  | Mark -> "mark"
+  | Undo k -> Printf.sprintf "undo %d" k
+  | Copy -> "copy"
+  | Save_load -> "save+load"
+
+(* Spans of up to two frames and a bit, at any byte, so that most cross
+   at least one frame boundary. *)
+let gen_dev_ops nframes =
+  let open QCheck.Gen in
+  let size = nframes * 4096 in
+  let nwords = size / 8 in
+  let span =
+    int_bound (size - 1) >>= fun a ->
+    oneof [ int_bound 16; int_bound 9000 ] >|= fun n -> (a, min n (size - a))
+  in
+  list_size (int_range 1 60)
+    (frequency
+       [
+         (4, map2 (fun w v -> Store (w, v)) (int_bound (nwords - 1)) ui64);
+         ( 3,
+           map2
+             (fun w v -> Store_unchecked (w, v))
+             (int_range (-2) (nwords + 1))
+             ui64 );
+         (3, map2 (fun (a, n) s -> Write (a, n, s)) span nat);
+         (2, map (fun (a, n) -> Read (a, n)) span);
+         (2, map (fun w -> Load w) (int_bound (nwords - 1)));
+         (1, return Mark);
+         (1, map (fun k -> Undo k) small_nat);
+         (1, return Copy);
+         (1, return Save_load);
+       ])
+
+type flat = { data : Bytes.t; wear : int array; mutable total : int }
+
+let flat_copy m =
+  { data = Bytes.copy m.data; wear = Array.copy m.wear; total = m.total }
+
+let matches_flat dev m =
+  let nframes = Array.length m.wear in
+  Scm_device.total_writes dev = m.total
+  && List.for_all
+       (fun f -> Scm_device.write_count dev f = m.wear.(f))
+       (List.init nframes Fun.id)
+  && List.for_all
+       (fun w ->
+         Scm_device.load64 dev (w * 8) = Bytes.get_int64_le m.data (w * 8))
+       (List.init (nframes * 512) Fun.id)
+
+(* Every operation applied to a device and to a flat [Bytes] model with
+   one wear counter per frame.  Copies and reloads continue the run; the
+   device a copy was taken from must keep its contents. *)
+let prop_device_matches_flat_model =
+  QCheck.Test.make ~name:"matches a flat model" ~count:300
+    (QCheck.make
+       ~print:(fun (nf, ops) ->
+         Printf.sprintf "%d frames: %s" nf
+           (String.concat "; " (List.map show_dev_op ops)))
+       QCheck.Gen.(
+         int_range 3 5 >>= fun nf -> pair (return nf) (gen_dev_ops nf)))
+    (fun (nframes, ops) ->
+      let size = nframes * 4096 in
+      let dev = ref (Scm_device.create ~nframes ()) in
+      let m =
+        ref
+          {
+            data = Bytes.make size '\000';
+            wear = Array.make nframes 0;
+            total = 0;
+          }
+      in
+      let journaling = ref false in
+      let marks = ref [] in
+      let retired = ref [] in
+      let wrote addr =
+        !m.wear.(addr / 4096) <- !m.wear.(addr / 4096) + 1;
+        !m.total <- !m.total + 1
+      in
+      let step = function
+        | Store (w, v) ->
+            Scm_device.store64 !dev (w * 8) v;
+            Bytes.set_int64_le !m.data (w * 8) v;
+            wrote (w * 8);
+            true
+        | Store_unchecked (w, v) when w >= 0 && w * 8 < size ->
+            Scm_device.store64_unchecked !dev (w * 8) v;
+            Bytes.set_int64_le !m.data (w * 8) v;
+            wrote (w * 8);
+            true
+        | Store_unchecked (w, v) -> (
+            match Scm_device.store64_unchecked !dev (w * 8) v with
+            | () -> false
+            | exception Invalid_argument _ -> true)
+        | Write (addr, len, seed) ->
+            let src =
+              Bytes.init len (fun i -> Char.chr ((seed + (7 * i)) land 255))
+            in
+            Scm_device.write_from !dev addr src 0 len;
+            Bytes.blit src 0 !m.data addr len;
+            if len > 0 then wrote addr;
+            true
+        | Read (addr, len) ->
+            let dst = Bytes.create len in
+            Scm_device.read_into !dev addr dst 0 len;
+            Bytes.equal dst (Bytes.sub !m.data addr len)
+        | Load w ->
+            Scm_device.load64 !dev (w * 8) = Bytes.get_int64_le !m.data (w * 8)
+        | Mark ->
+            if not !journaling then begin
+              Scm_device.journal_start !dev;
+              journaling := true
+            end;
+            marks := (Scm_device.journal_mark !dev, flat_copy !m) :: !marks;
+            true
+        | Undo _ when !marks = [] -> true
+        | Undo k ->
+            let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
+            marks := drop (k mod List.length !marks) !marks;
+            let mark, snap = List.hd !marks in
+            Scm_device.journal_undo_to !dev mark;
+            m := flat_copy snap;
+            true
+        | Copy ->
+            retired := (!dev, flat_copy !m) :: !retired;
+            dev := Scm_device.copy !dev;
+            journaling := false;
+            marks := [];
+            true
+        | Save_load ->
+            let path = Filename.temp_file "scm" ".img" in
+            Fun.protect
+              ~finally:(fun () -> Sys.remove path)
+              (fun () ->
+                Scm_device.save_image !dev path;
+                let image =
+                  In_channel.with_open_bin path In_channel.input_all
+                in
+                dev := Scm_device.load_image path;
+                (* wear counters are not part of the image *)
+                m := { !m with wear = Array.make nframes 0; total = 0 };
+                journaling := false;
+                marks := [];
+                image = image_header nframes ^ Bytes.to_string !m.data)
+      in
+      List.for_all step ops
+      && matches_flat !dev !m
+      && List.for_all (fun (d, snap) -> matches_flat d snap) !retired)
+
 (* ------------------------------------------------------------------ *)
 (* Cache *)
 
@@ -554,6 +813,10 @@ let () =
             test_device_image_roundtrip;
           Alcotest.test_case "mismatched image fails" `Quick
             test_device_image_mismatch;
+          Alcotest.test_case "first-touch budget" `Quick
+            test_device_first_touch_budget;
+          Alcotest.test_case "sparse image" `Quick test_device_sparse_image;
+          QCheck_alcotest.to_alcotest prop_device_matches_flat_model;
         ] );
       ( "cache",
         [
