@@ -112,6 +112,10 @@ let[@inline] insert_torn chunk tpos b =
   Int64.logor low
     (Int64.logor high (if b then Int64.shift_left 1L tpos else 0L))
 
+(* The torn bit at [tpos] as 0 or 1, without boxing [word]. *)
+let[@inline] torn_bit word tpos =
+  Int64.to_int (Int64.shift_right_logical word tpos) land 1
+
 let extract_torn word tpos =
   let low_mask = Int64.sub (Int64.shift_left 1L tpos) 1L in
   let low = Int64.logand word low_mask in
@@ -479,25 +483,26 @@ let attach v ~base =
      Sweeping every free word (rewriting only those that need it) is
      idempotent and converges even if this erase itself crashes partway
      through: whatever subset of the filler writes lands, the next
-     recovery sweeps the same region again. *)
+     recovery sweeps the same region again.
+
+     Every free word is read non-temporally: sweeping the whole free
+     region must not evict the working set or perturb the eviction
+     rng.  While the view's write-combining buffer is empty such a read
+     is a pure copy that charges no time, so the sweep reads ahead in
+     runs of words ({!Pmem.load_nt_into}) and tests each torn bit in
+     the buffer.  A filler stays pending until the closing fence, so
+     from the first filler on (or if a store was pending on entry) it
+     reads word by word: a posted filler makes the next load in its
+     line drain the buffer, and each drain is a crash point that must
+     fall where it always has. *)
   let erase_pos = ref t.tail_off
   and erase_parity = ref t.tail_parity
   and erase_tpos = ref t.tail_tpos
+  and left = ref (free_words t)
   and erased = ref false in
-  for _ = 1 to free_words t do
-    (* non-temporal: sweeping the whole free region must not evict the
-       working set or perturb the eviction rng *)
-    let w = Pmem.load_nt v (slot_addr t !erase_pos) in
-    let _, torn = extract_torn w !erase_tpos in
-    if torn = (!erase_parity = 1) then begin
-      let filler =
-        (* looks like the previous pass at this position *)
-        if !erase_parity = 1 then 0L else Int64.shift_left 1L !erase_tpos
-      in
-      Pmem.wtstore v (slot_addr t !erase_pos) filler;
-      erased := true
-    end;
-    incr erase_pos;
+  let advance words =
+    erase_pos := !erase_pos + words;
+    left := !left - words;
     if !erase_pos = cap then begin
       erase_pos := 0;
       let parity', tpos' =
@@ -506,6 +511,41 @@ let attach v ~base =
       erase_parity := parity';
       erase_tpos := tpos'
     end
+  in
+  let write_filler () =
+    let filler =
+      (* looks like the previous pass at this position *)
+      if !erase_parity = 1 then 0L else Int64.shift_left 1L !erase_tpos
+    in
+    Pmem.wtstore v (slot_addr t !erase_pos) filler;
+    erased := true;
+    advance 1
+  in
+  (* Runs are read into the append scratch, idle during recovery. *)
+  let buf = t.scratch in
+  let wc = v.Pmem.env.Scm.Env.wc in
+  while !left > 0 && Scm.Wc_buffer.is_empty wc do
+    (* a run stops where the buffer wraps: the pass parity flips there *)
+    let n = Int.min (cap - !erase_pos) (Bytes.length buf / 8) in
+    let n = Int.min !left n in
+    Pmem.load_nt_into v (slot_addr t !erase_pos) buf 0 (8 * n);
+    let i = ref 0 in
+    while
+      !i < n
+      && torn_bit (Bytes.get_int64_le buf (8 * !i)) !erase_tpos
+         <> !erase_parity
+    do
+      incr i
+    done;
+    advance !i;
+    (* the word the run stopped at is stale: its read was a pure copy
+       too, so the filler follows it directly *)
+    if !i < n then write_filler ()
+  done;
+  while !left > 0 do
+    let w = Pmem.load_nt v (slot_addr t !erase_pos) in
+    if torn_bit w !erase_tpos = !erase_parity then write_filler ()
+    else advance 1
   done;
   if !erased then Pmem.fence v;
   (t, List.rev !records)

@@ -84,25 +84,28 @@ let list_inodes t =
          else None)
   |> List.sort compare
 
+(* Bytes read into [buf] from [off] until it is full or the file ends. *)
+let rec read_upto fd buf off =
+  if off = Bytes.length buf then off
+  else
+    match Unix.read fd buf off (Bytes.length buf - off) with
+    | 0 -> off
+    | n -> read_upto fd buf (off + n)
+
+(* A missing file, or the part of a page past the end of its file,
+   reads as zeros. *)
 let read_page t inode page_off buf =
-  let p = file_path t inode in
-  if not (Sys.file_exists p) then Bytes.fill buf 0 (Bytes.length buf) '\000'
-  else begin
-    let ic = open_in_bin p in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let size = in_channel_length ic in
-        let start = page_off * Bytes.length buf in
-        if start >= size then Bytes.fill buf 0 (Bytes.length buf) '\000'
-        else begin
-          seek_in ic start;
-          let avail = min (Bytes.length buf) (size - start) in
-          really_input ic buf 0 avail;
-          if avail < Bytes.length buf then
-            Bytes.fill buf avail (Bytes.length buf - avail) '\000'
-        end)
-  end
+  let got =
+    match Unix.openfile (file_path t inode) [ Unix.O_RDONLY ] 0 with
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> 0
+    | fd ->
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            ignore (Unix.lseek fd (page_off * Bytes.length buf) Unix.SEEK_SET);
+            read_upto fd buf 0)
+  in
+  Bytes.fill buf got (Bytes.length buf - got) '\000'
 
 let write_page t inode page_off buf =
   incr mutations;

@@ -111,11 +111,21 @@ let frame_of t ~inode ~page_off = Hashtbl.find_opt t.resident (inode, page_off)
 
 let frame_addr frame = frame * Scm_device.frame_size
 
-(* Write back any dirty cache lines covering [frame] and invalidate them
-   all, so the device holds the truth and no stale line shadows data
-   loaded into a recycled frame. *)
+(* Drain every write-combining buffer holding a streaming store into
+   [frame], as the TLB shootdown's interrupt drains each CPU's buffers
+   on real hardware: a store drained after the frame left its page
+   would land in whatever page owns the frame by then.  Then write back
+   any dirty cache lines covering [frame] and invalidate them all, so
+   the device holds the truth and no stale line shadows data loaded
+   into a recycled frame.  Eviction, [punmap] and wear-level migration
+   all pass through here. *)
 let purge_frame_lines ?(writeback = true) t frame =
   let base = frame_addr frame in
+  List.iter
+    (fun wc ->
+      if Scm.Wc_buffer.pending_in_span wc base Scm_device.frame_size then
+        Scm.Wc_buffer.drain wc)
+    t.machine.wc_buffers;
   let a = ref base in
   while !a < base + Scm_device.frame_size do
     if writeback then Cache.writeback_line t.machine.cache !a;

@@ -16,10 +16,13 @@ type t = {
      removed. *)
   mutable memo_vpage : int;
   mutable memo_frame : int;
-  mutable peek_page : (int * int * Bytes.t) option;
-      (* (inode, page_off, contents): one-page memo for {!load_nt} reads
-         of non-resident pages.  Stale the moment the page regains and
-         then loses a frame, so the eviction hook drops it. *)
+  (* One-page memo for non-temporal reads of a non-resident page: the
+     backing-file copy of page [peek_off] of file [peek_inode] (-1: none)
+     in [peek_buf].  Stale the moment the page regains and then loses a
+     frame, so the eviction hook drops it. *)
+  mutable peek_inode : int;
+  mutable peek_off : int;
+  peek_buf : Bytes.t;
   mutable next_dyn : int;
   default_env : Scm.Env.t;
   mutable remap_ns : int;
@@ -117,48 +120,74 @@ let load v addr =
   | Some chk -> Scm.Pmcheck.check_load chk (addr land lnot 7));
   P.load v.env (translate v addr)
 
-let load_nt_resident v ~vpage ~frame addr =
-  (match pmchk v with
-  | None -> ()
-  | Some chk -> Scm.Pmcheck.note_mapping chk ~vpage ~frame);
-  P.load_nt v.env
-    ((frame * Layout.page_size) + (addr land (Layout.page_size - 1)))
-
-(* Non-temporal load: must not fault pages in.  A recovery-time sweep
+(* Non-temporal reads must not fault pages in.  A recovery-time sweep
    over a whole region would otherwise pull every page of the region
    into SCM at attach time — charging page I/O and consuming frames the
    working set never asked for.  A page that is not resident has its
-   authoritative copy in the backing file, so read the word from there
-   without installing a frame.  A resident page is resolved once per
-   run of words through the same memo {!translate} keeps. *)
-let load_nt v addr =
+   authoritative copy in the backing file, so it is read from there
+   without installing a frame.
+
+   [nt_frame v addr] is the frame of [addr]'s page if it is resident,
+   resolved through the same memo {!translate} keeps (and reported to
+   the sanitizer, as {!translate} reports a fault).  Otherwise it is
+   -1, and the page's backing-file copy is in [peek_buf]. *)
+let nt_frame v addr =
   let t = v.pmem in
   if not (Layout.is_persistent addr) then
     invalid_arg (Printf.sprintf "Pmem: %#x is not a persistent address" addr);
   let vpage = Layout.page_of addr in
-  if vpage = t.memo_vpage then
-    load_nt_resident v ~vpage ~frame:t.memo_frame addr
-  else begin
-    let r = find_region t addr in
-    let page_off = vpage - Layout.page_of r.base in
-    match Manager.frame_of t.mgr ~inode:r.inode ~page_off with
-    | Some frame ->
-        Scm.Imap.Int.set t.vpage_cache vpage frame;
-        t.memo_vpage <- vpage;
-        t.memo_frame <- frame;
-        load_nt_resident v ~vpage ~frame addr
-    | None ->
-        let buf =
-          match t.peek_page with
-          | Some (i, p, b) when i = r.inode && p = page_off -> b
-          | _ ->
-              let b = Bytes.create Layout.page_size in
-              Backing_store.read_page t.backing r.inode page_off b;
-              t.peek_page <- Some (r.inode, page_off, b);
-              b
-        in
-        Scm.Word.get buf (addr land (Layout.page_size - 1))
-  end
+  let frame =
+    if vpage = t.memo_vpage then t.memo_frame
+    else begin
+      let r = find_region t addr in
+      let page_off = vpage - Layout.page_of r.base in
+      match Manager.frame_of t.mgr ~inode:r.inode ~page_off with
+      | Some frame ->
+          Scm.Imap.Int.set t.vpage_cache vpage frame;
+          t.memo_vpage <- vpage;
+          t.memo_frame <- frame;
+          frame
+      | None ->
+          if t.peek_inode <> r.inode || t.peek_off <> page_off then begin
+            Backing_store.read_page t.backing r.inode page_off t.peek_buf;
+            t.peek_inode <- r.inode;
+            t.peek_off <- page_off
+          end;
+          -1
+    end
+  in
+  (if frame >= 0 then
+     match pmchk v with
+     | None -> ()
+     | Some chk -> Scm.Pmcheck.note_mapping chk ~vpage ~frame);
+  frame
+
+let load_nt v addr =
+  let frame = nt_frame v addr in
+  let within = addr land (Layout.page_size - 1) in
+  if frame < 0 then Scm.Word.get v.pmem.peek_buf within
+  else P.load_nt v.env ((frame * Layout.page_size) + within)
+
+(* One page at a time: a resident page is copied through
+   {!P.load_nt_into} (so pending streaming stores are honoured word by
+   word exactly as {!load_nt} honours them), a non-resident one from
+   its backing-file copy in one blit. *)
+let load_nt_into v addr buf off len =
+  if addr land 7 <> 0 || len land 7 <> 0 || len < 0 then
+    invalid_arg "Pmem.load_nt_into: alignment";
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let within = a land (Layout.page_size - 1) in
+    let n = Layout.page_size - within in
+    let n = if n < len - !pos then n else len - !pos in
+    let frame = nt_frame v a in
+    if frame < 0 then Bytes.blit v.pmem.peek_buf within buf (off + !pos) n
+    else
+      P.load_nt_into v.env ((frame * Layout.page_size) + within) buf
+        (off + !pos) n;
+    pos := !pos + n
+  done
 
 let store v addr x =
   (match pmchk v with
@@ -290,16 +319,17 @@ let open_instance machine backing =
       vpage_cache = Scm.Imap.Int.create ~initial:1024 ();
       memo_vpage = -1;
       memo_frame = 0;
-      peek_page = None;
+      peek_inode = -1;
+      peek_off = 0;
+      peek_buf = Bytes.create Layout.page_size;
       next_dyn = Layout.dynamic_base;
       default_env;
       remap_ns = 0;
     }
   in
   Manager.on_evict mgr (fun ~inode ~page_off ->
-      (match t.peek_page with
-      | Some (i, p, _) when i = inode && p = page_off -> t.peek_page <- None
-      | _ -> ());
+      if t.peek_inode = inode && t.peek_off = page_off then
+        t.peek_inode <- -1;
       match Hashtbl.find_opt t.by_inode inode with
       | None -> ()
       | Some r ->

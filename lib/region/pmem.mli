@@ -86,6 +86,18 @@ val load_nt : view -> int -> int64
     backing file without installing a frame.  For recovery-time sweeps
     over whole regions (see {!Scm.Primitives.load_nt}). *)
 
+val load_nt_into : view -> int -> Bytes.t -> int -> int -> unit
+(** [load_nt_into v addr buf off len] stores in [buf] at [off] the
+    [len / 8] words that as many consecutive {!load_nt} calls from the
+    aligned [addr] return ([len] a multiple of 8; the range may cross
+    pages).  It resolves each page once: a resident page's lines come
+    from the cache or the device ({!Scm.Cache.peek_into}), and a page
+    that is not resident costs one backing-file read.  While the view's
+    write-combining buffer is empty the copy is its only effect on the
+    machine; otherwise each word of a resident page goes through
+    {!Scm.Primitives.load_nt}, so every drain it causes, and with it
+    every crash point, falls where it would. *)
+
 val store : view -> int -> int64 -> unit
 val wtstore : view -> int -> int64 -> unit
 val flush : view -> int -> unit

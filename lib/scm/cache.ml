@@ -211,6 +211,29 @@ let peek_word t addr =
   if slot >= 0 then Word.get t.data.(slot) (addr - base)
   else Scm_device.load64 t.dev (addr - (addr mod 8))
 
+(* Device bytes [lo, hi) of a copy of [addr..] into [buf] at [off]. *)
+let peek_device t addr buf off lo hi =
+  if hi > lo then Scm_device.read_into t.dev lo buf (off + lo - addr) (hi - lo)
+
+(* [peek_word] over a byte range: each resident line is copied from the
+   cache, each run of lines that are not resident in one device read. *)
+let peek_into t addr buf off len =
+  let stop = addr + len in
+  let run = ref addr (* start of the pending non-resident run *)
+  and a = ref addr in
+  while !a < stop do
+    let base = line_base !a in
+    let next = if base + line_size < stop then base + line_size else stop in
+    let slot = find_slot t base in
+    if slot >= 0 then begin
+      peek_device t addr buf off !run !a;
+      Bytes.blit t.data.(slot) (!a - base) buf (off + !a - addr) (next - !a);
+      run := next
+    end;
+    a := next
+  done;
+  peek_device t addr buf off !run stop
+
 let write_word t addr v =
   let base = line_base addr in
   let slot = get_line t base in

@@ -43,6 +43,13 @@ val peek_word : t -> int -> int64
     otherwise.  Recovery-time region sweeps use this so a full scan
     neither evicts the working set nor advances the eviction rng. *)
 
+val peek_into : t -> int -> Bytes.t -> int -> int -> unit
+(** [peek_into t addr buf off len] copies [len] bytes at [addr] into
+    [buf] at [off] as {!peek_word} would read them: a resident line,
+    dirty or clean, is copied from the cache and every other line from
+    the device, with each run of non-resident lines read in one call.
+    It allocates no line, draws no rng and ticks no crash point. *)
+
 val write_word : t -> int -> int64 -> unit
 (** Write into the cache, marking the line dirty.  Not durable until the
     line is flushed, evicted, or written back by a crash policy. *)

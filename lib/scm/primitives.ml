@@ -31,6 +31,18 @@ let load_nt (env : Env.t) addr =
         drain_if_pending env addr;
         Cache.peek_word env.machine.cache addr
 
+(* With no store pending, a run of [load_nt] calls is a pure copy, so
+   the cache serves it in one call.  Otherwise a load may forward a
+   pending value or drain the buffer (a crash point), so each word
+   takes the [load_nt] path and the drains fall where they would. *)
+let load_nt_into (env : Env.t) addr buf off len =
+  if Wc_buffer.is_empty env.wc then
+    Cache.peek_into env.machine.cache addr buf off len
+  else
+    for i = 0 to (len / 8) - 1 do
+      Word.set buf (off + (8 * i)) (load_nt env (addr + (8 * i)))
+    done
+
 let store (env : Env.t) addr v =
   env.delay env.machine.latency.cache_hit_ns;
   if not (Wc_buffer.is_empty env.wc) then drain_if_pending env addr;

@@ -19,8 +19,16 @@ val load : Env.t -> int -> int64
 val load_nt : Env.t -> int -> int64
 (** Non-temporal read: coherent with pending streaming stores and
     resident cache lines, but never allocates a line (and so never
-    evicts).  Charges the media read latency instead of a cache hit.
-    Meant for recovery-time sweeps over whole regions. *)
+    evicts).  Charges no simulated time: a sequential sweep streams at
+    bandwidth.  Meant for recovery-time sweeps over whole regions. *)
+
+val load_nt_into : Env.t -> int -> Bytes.t -> int -> int -> unit
+(** [load_nt_into env addr buf off len] stores in [buf] at [off] the
+    [len / 8] words that as many consecutive {!load_nt} calls from the
+    aligned [addr] return, with the same effects.  With the
+    write-combining buffer empty the only effect is the copy
+    ({!Cache.peek_into}); otherwise each word goes through {!load_nt},
+    so a load that drains the buffer does so where it would. *)
 
 val store : Env.t -> int -> int64 -> unit
 (** Cached write; durable only after [flush] + [fence] (or an unlucky

@@ -78,6 +78,13 @@ let pending_in_line t addr =
   done;
   !i >= 0
 
+let pending_in_span t lo len =
+  let i = ref (t.n - 1) in
+  while !i >= 0 && (t.o_addrs.(!i) < lo || t.o_addrs.(!i) >= lo + len) do
+    decr i
+  done;
+  !i >= 0
+
 let pending_words t = t.n
 let pending_bytes t = 8 * t.n
 let clear t = t.n <- 0

@@ -36,6 +36,11 @@ val pending_in_line : t -> int -> bool
     (write-combining buffers may flush spontaneously on real hardware),
     keeping same-thread mixed cached/streaming access coherent. *)
 
+val pending_in_span : t -> int -> int -> bool
+(** [pending_in_span t lo len]: whether any pending store targets an
+    address in [\[lo, lo + len)].  The region manager asks it of every
+    buffer before a frame leaves its page. *)
+
 val pending_words : t -> int
 val pending_bytes : t -> int
 

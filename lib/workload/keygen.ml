@@ -13,19 +13,24 @@ module Zipf = struct
   type table = float array
   type dist = { rng : Random.State.t; cdf : table }
 
+  (* The weights go into [cdf] first and are summed left to right,
+     then each is replaced by the running sum of its share: the same
+     operations in the same order as summing a separate weights array,
+     so the floats are the same. *)
   let table ~n ~theta =
     if n <= 0 then invalid_arg "Zipf.table";
-    let weights =
-      Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) theta)
-    in
-    let total = Array.fold_left ( +. ) 0.0 weights in
     let cdf = Array.make n 0.0 in
-    let acc = ref 0.0 in
-    Array.iteri
-      (fun i w ->
-        acc := !acc +. (w /. total);
-        cdf.(i) <- !acc)
-      weights;
+    let total = ref 0.0 in
+    for i = 0 to n - 1 do
+      let w = 1.0 /. Float.pow (float_of_int (i + 1)) theta in
+      cdf.(i) <- w;
+      total := !total +. w
+    done;
+    let total = !total and acc = ref 0.0 in
+    for i = 0 to n - 1 do
+      acc := !acc +. (cdf.(i) /. total);
+      cdf.(i) <- !acc
+    done;
     cdf.(n - 1) <- 1.0;
     cdf
 

@@ -16,9 +16,10 @@ val value : t -> int -> Bytes.t
 
 (** Zipf-distributed ranks (hot keys), for skewed workloads. *)
 module Zipf : sig
-  type table
+  type table = private float array
   (** The cumulative distribution over ranks 0..n-1: [n] floats, built
-      once and shared read-only by any number of samplers. *)
+      once and shared read-only by any number of samplers.  Entry [i]
+      is the probability of a rank <= [i]; the last is exactly 1. *)
 
   val table : n:int -> theta:float -> table
   (** Ranks 0..n-1 with skew [theta] (0 = uniform, ~0.99 = typical

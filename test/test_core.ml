@@ -151,6 +151,34 @@ let test_zipf_skew () =
     "shared-table draws equal make's" (pairs (own 2) (own 3))
     (pairs (shared 2) (shared 3))
 
+(* The table built in two loops equals, bit for bit, the formulation
+   that maps a weights array, folds its sum and accumulates each
+   share. *)
+let test_zipf_table_bits () =
+  let reference ~n ~theta =
+    let weights =
+      Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) theta)
+    in
+    let total = Array.fold_left ( +. ) 0.0 weights in
+    let cdf = Array.make n 0.0 in
+    let acc = ref 0.0 in
+    Array.iteri
+      (fun i w ->
+        acc := !acc +. (w /. total);
+        cdf.(i) <- !acc)
+      weights;
+    cdf.(n - 1) <- 1.0;
+    cdf
+  in
+  List.iter
+    (fun (n, theta) ->
+      let bits a = Array.map Int64.bits_of_float a in
+      Alcotest.(check (array int64))
+        (Printf.sprintf "n = %d, theta = %g" n theta)
+        (bits (reference ~n ~theta))
+        (bits (Workload.Keygen.Zipf.table ~n ~theta :> float array)))
+    [ (100_000, 0.99); (50_000, 0.2) ]
+
 let test_keygen_determinism () =
   let a = Workload.Keygen.create ~seed:7 () in
   let b = Workload.Keygen.create ~seed:7 () in
@@ -181,6 +209,8 @@ let () =
         [
           Alcotest.test_case "stats percentiles" `Quick test_stats_percentiles;
           Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
+          Alcotest.test_case "zipf table bit for bit" `Quick
+            test_zipf_table_bits;
           Alcotest.test_case "keygen determinism" `Quick
             test_keygen_determinism;
         ] );

@@ -610,6 +610,177 @@ let test_rawl_recovery_crash_idempotent () =
       done;
       Alcotest.(check bool) "crash points were explored" true (!explored > 0))
 
+(* The erase sweep reads ahead until its first filler; the result must
+   be what the word-by-word sweep produces.  A 2,048-word log holds two
+   flushed records of 27 stored words, then stale current-parity words
+   are planted in its free region: at the first free word, mid-page
+   after clean words, in two adjacent words of one line (the second is
+   read right after the first's filler is posted, which drains the
+   buffer), and past the log's first page boundary (position 504);
+   each alone and all four together.  In a second layout a 1,931-word
+   record was appended and truncated first, so the free region runs
+   from position 1959 to the end of the buffer and on from position 0
+   in the next pass, whose parity is the other: stale words are
+   planted past the wrap, and on both sides of it.  Each image is
+   recovered twice from the same state: by [attach], and by the
+   recovery scan's loads then a word-by-word sweep written out here,
+   as [attach] swept at first.  Both must write the same fillers
+   and tick the same crash points, with the log's pages resident and
+   with them only in the backing file, and with the write-combining
+   buffer empty at the start and holding a store into the free region
+   (position 150), which one of the sweep's loads drains. *)
+let test_rawl_erase_read_ahead_matches_wordwise () =
+  let cap = 2048 in
+  let r1 = [| 1L; 2L; 3L |] and r2 = Array.make 20 7L in
+  let big = Array.make 1900 9L in
+  let head wrapped =
+    if wrapped then Pmlog.Bitstream.stored_words_for (Array.length big + 1)
+    else 0
+  in
+  let slot ~base pos = base + Pmlog.Rawl.header_bytes + (8 * pos) in
+  (* torn bit 63 of the pass a free position belongs to: positions
+     below the head lie in the next pass *)
+  let parity ~wrapped pos = if pos < head wrapped then 0 else 1 in
+  let reference v ~base ~wrapped =
+    let tail = head wrapped + 27 in
+    (* the scan's cached loads fault in the pages they touch *)
+    ignore (Region.Pmem.load v (base + 8));
+    ignore (Region.Pmem.load v base);
+    for pos = head wrapped to tail do
+      ignore (Region.Pmem.load v (slot ~base pos))
+    done;
+    let erased = ref false in
+    for k = 0 to cap - 1 - 27 - 1 do
+      let pos = (tail + k) mod cap in
+      let p = parity ~wrapped pos in
+      let _, torn =
+        Pmlog.Rawl.extract_torn (Region.Pmem.load_nt v (slot ~base pos)) 63
+      in
+      if torn = (p = 1) then begin
+        Region.Pmem.wtstore v (slot ~base pos)
+          (if p = 1 then 0L else Int64.min_int);
+        erased := true
+      end
+    done;
+    if !erased then Region.Pmem.fence v
+  in
+  let places =
+    [ ("first free word", [ 27 ]); ("mid-page", [ 100 ]);
+      ("after a filler in its line", [ 200; 201 ]);
+      ("past a page boundary", [ 600 ]) ]
+  in
+  let layouts =
+    [ (false, places @ [ ("all four", List.concat_map snd places) ]);
+      ( true,
+        [ ("past the wrap", [ 100 ]);
+          ("both sides of the wrap", [ 2000; 100 ]) ] ) ]
+  in
+  let cases =
+    List.concat_map
+      (fun (wrapped, places) ->
+        List.concat_map
+          (fun place ->
+            List.concat_map
+              (fun resident ->
+                List.map
+                  (fun pending -> (wrapped, place, resident, pending))
+                  [ false; true ])
+              [ true; false ])
+          places)
+      layouts
+  in
+  List.iter
+    (fun (wrapped, (name, stale), resident, pending) ->
+      with_tmpdir (fun dir ->
+          let m, v = stack dir in
+          let base, log = make_log v ~cap_words:cap in
+          if wrapped then begin
+            ignore (Pmlog.Rawl.append log big);
+            Pmlog.Rawl.flush log;
+            Pmlog.Rawl.truncate_all log
+          end;
+          List.iter (fun r -> ignore (Pmlog.Rawl.append log r)) [ r1; r2 ];
+          Pmlog.Rawl.flush log;
+          List.iter
+            (fun pos ->
+              (* the current parity of [pos]'s pass: a stale word *)
+              Region.Pmem.wtstore v (slot ~base pos)
+                (Int64.logor 0x5aL
+                   (Int64.shift_left
+                      (Int64.of_int (parity ~wrapped pos))
+                      63)))
+            stale;
+          Region.Pmem.fence v;
+          let dev0 =
+            if resident then begin
+              Scm.Crash.inject m;
+              m.Scm.Env.dev
+            end
+            else begin
+              Region.Pmem.close v;
+              Scm.Scm_device.create ~nframes:256 ()
+            end
+          in
+          let recover f =
+            let m' = Scm.Env.machine_of_device (Scm.Scm_device.copy dev0) in
+            let t =
+              Region.Pmem.open_instance m' (Region.Backing_store.open_dir dir)
+            in
+            let v' = Region.Pmem.default_view t in
+            if pending then Region.Pmem.wtstore v' (slot ~base 150) 0L;
+            let c0 = Scm.Crashpoint.count m'.crash_point in
+            let result = f v' in
+            let ticks = Scm.Crashpoint.count m'.crash_point - c0 in
+            let words =
+              List.init cap (fun pos -> Region.Pmem.load_nt v' (slot ~base pos))
+            in
+            (result, ticks, words)
+          in
+          let label what =
+            Printf.sprintf "%s (%s%s): %s" name
+              (if resident then "resident" else "backing file")
+              (if pending then ", store pending" else "")
+              what
+          in
+          let (log', records), ticks, words =
+            recover (fun v' -> Pmlog.Rawl.attach v' ~base)
+          in
+          let (), ticks', words' =
+            recover (fun v' -> reference v' ~base ~wrapped)
+          in
+          Alcotest.check record_list (label "records") [ r1; r2 ] records;
+          Alcotest.(check int) (label "used words") 27
+            (Pmlog.Rawl.used_words log');
+          Alcotest.(check int) (label "free words") (cap - 1 - 27)
+            (Pmlog.Rawl.free_words log');
+          Alcotest.(check int) (label "torn bit") 63
+            (Pmlog.Rawl.torn_bit_position log');
+          Alcotest.(check int) (label "crash points") ticks' ticks;
+          Alcotest.(check (list int64)) (label "log words") words' words;
+          List.iter
+            (fun pos ->
+              Alcotest.(check int64)
+                (label (Printf.sprintf "filler at %d" pos))
+                (if parity ~wrapped pos = 1 then 0L else Int64.min_int)
+                (List.nth words pos))
+            stale))
+    cases
+
+(* Attaching a clean 2,048-word log allocates a bounded number of minor
+   words, not a few per word of its free region. *)
+let test_rawl_attach_minor_budget () =
+  with_tmpdir (fun dir ->
+      let m, v = stack dir in
+      let base, _ = make_log v ~cap_words:2048 in
+      let _, v' = reboot m dir in
+      let before = Gc.minor_words () in
+      let log, records = Pmlog.Rawl.attach v' ~base in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) "no records" 0 (List.length records);
+      Alcotest.(check int) "all free" 2047 (Pmlog.Rawl.free_words log);
+      if words > 2048. then
+        Alcotest.failf "attach allocated %.0f minor words (budget 2048)" words)
+
 (* ------------------------------------------------------------------ *)
 (* Commit log *)
 
@@ -710,6 +881,10 @@ let () =
             test_rawl_stale_word_beyond_gap_erased;
           Alcotest.test_case "partial trailing record over wrap" `Quick
             test_rawl_partial_trailing_wrap;
+          Alcotest.test_case "erase read-ahead matches word by word" `Quick
+            test_rawl_erase_read_ahead_matches_wordwise;
+          Alcotest.test_case "attach minor-word budget" `Quick
+            test_rawl_attach_minor_budget;
           Alcotest.test_case "crash during recovery is idempotent" `Quick
             test_rawl_recovery_crash_idempotent;
         ] );

@@ -410,6 +410,54 @@ let test_concurrent_fault_one_frame () =
       Mnemosyne.close inst;
       Alcotest.(check int) "words lost across the restart" 0 !lost)
 
+(* A frame recycled while some thread's write-combining buffer still
+   holds streaming stores into it: those stores must reach the page
+   they were made to, not whatever page owns the frame when the buffer
+   drains.  One fiber posts a word into each of pages 0-15 and fences
+   only 10 ms later; meanwhile a second fiber writes pages 16-199 of
+   the same region durably, so the 96-frame device evicts and reuses
+   the frames of pages 0-15 under the first fiber's pending stores. *)
+let test_wc_stores_survive_frame_recycling () =
+  with_tmpdir (fun dir ->
+      let m = machine ~nframes:96 () in
+      let backing = Region.Backing_store.open_dir dir in
+      let t = Region.Pmem.open_instance m backing in
+      let npages = 200 and posted = 16 in
+      let r = Region.Pmem.pmap (Region.Pmem.default_view t) (npages * 4096) in
+      let word p = r + (p * 4096) + 64 in
+      let value p = Int64.of_int (0x7000_0000 + p) in
+      let sim = Sim.create () in
+      let view () =
+        Region.Pmem.view t
+          (Scm.Env.view m
+             ~delay:(fun ns -> Sim.delay sim ns)
+             ~now:(fun () -> Sim.now sim))
+      in
+      Sim.spawn sim (fun () ->
+          let v = view () in
+          for p = 0 to posted - 1 do
+            Region.Pmem.wtstore v (word p) (value p)
+          done;
+          Sim.delay sim 10_000_000;
+          Region.Pmem.fence v);
+      Sim.spawn sim (fun () ->
+          let v = view () in
+          for p = posted to npages - 1 do
+            Region.Pmem.store v (word p) (value p);
+            Region.Pmem.flush v (word p);
+            Region.Pmem.fence v
+          done);
+      Sim.run sim;
+      Alcotest.(check bool) "frames were recycled" true
+        (Region.Manager.swaps_out (Region.Pmem.manager t) > npages - 96);
+      let v = Region.Pmem.default_view t in
+      for p = 0 to npages - 1 do
+        Alcotest.(check int64)
+          (Printf.sprintf "page %d" p)
+          (value p)
+          (Region.Pmem.load v (word p))
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* Pstatic *)
 
@@ -573,6 +621,94 @@ let prop_pmem_wordwise_model =
               ok && Region.Pmem.load v (r + (slot * 8)) = expected)
             model true))
 
+(* [Pmem.load_nt_into] against as many consecutive [Pmem.load_nt]
+   calls, on two instances built identically: a 4-page region whose
+   backing file holds data (left whole, cut short at any byte, or
+   deleted), some of whose pages were then faulted in with clean
+   lines, dirty lines the device does not yet hold, and streaming
+   stores still pending.  The words read, the crash-point count, the
+   pending stores and the dirty lines must agree, and with nothing
+   pending the read must leave all three as they were. *)
+let prop_load_nt_into_matches_load_nt =
+  let pages = 4 in
+  let words = pages * 512 in
+  let build dir (file, cut) ops =
+    let m = machine ~nframes:64 () in
+    let backing = Region.Backing_store.open_dir dir in
+    let t = Region.Pmem.open_instance m backing in
+    let v = Region.Pmem.default_view t in
+    let r = Region.Pmem.pmap v (pages * 4096) in
+    let static = Region.Backing_store.find backing "static" in
+    let inode =
+      List.find
+        (fun i -> Some i <> static)
+        (Region.Backing_store.list_inodes backing)
+    in
+    (* nothing of the region is resident yet: its file is the truth *)
+    let page = Bytes.create 4096 in
+    for p = 0 to pages - 1 do
+      for w = 0 to 511 do
+        Bytes.set_int64_le page (8 * w) (Int64.of_int ((p lsl 16) lor w lor 1))
+      done;
+      Region.Backing_store.write_page backing inode p page
+    done;
+    (* the backing store's file for [inode] *)
+    let path = Filename.concat dir (Printf.sprintf "f%06d" inode) in
+    (match file with
+    | 0 -> ()
+    | 1 -> Unix.truncate path (cut mod (pages * 4096))
+    | _ -> Sys.remove path);
+    List.iter
+      (fun (kind, w) ->
+        let a = r + (8 * w) in
+        let x = Int64.of_int ((w * 7919) + kind) in
+        match kind with
+        | 0 -> ignore (Region.Pmem.load v a)
+        | 1 -> Region.Pmem.store v a x
+        | 2 -> Region.Pmem.flush v a
+        | 3 -> Region.Pmem.wtstore v a x
+        | _ -> Region.Pmem.fence v)
+      ops;
+    (m, v, r)
+  in
+  let state (m : Scm.Env.machine) (v : Region.Pmem.view) =
+    ( Scm.Crashpoint.count m.crash_point,
+      Scm.Wc_buffer.pending_words v.env.wc,
+      Scm.Cache.dirty_lines m.cache )
+  in
+  QCheck.Test.make ~name:"load_nt_into equals consecutive load_nt calls"
+    ~count:60
+    QCheck.(
+      triple
+        (pair (int_bound 2) (int_bound 100_000))
+        (list_of_size
+           Gen.(0 -- 16)
+           (pair (int_bound 4) (int_bound (words - 1))))
+        (pair (int_bound (words - 1)) (int_bound words)))
+    (fun (file, ops, (start, len)) ->
+      let len = min len (words - start) in
+      let read_with f =
+        with_tmpdir (fun dir ->
+            let m, v, r = build dir file ops in
+            let before = state m v in
+            let buf = Bytes.make (8 * len) '\xff' in
+            f v (r + (8 * start)) buf;
+            (before, state m v, buf))
+      in
+      let before, after, bulk =
+        read_with (fun v a buf -> Region.Pmem.load_nt_into v a buf 0 (8 * len))
+      in
+      let _, after', wordwise =
+        read_with (fun v a buf ->
+            for i = 0 to len - 1 do
+              Bytes.set_int64_le buf (8 * i)
+                (Region.Pmem.load_nt v (a + (8 * i)))
+            done)
+      in
+      let _, pending, _ = before in
+      Bytes.equal bulk wordwise && after = after'
+      && (pending > 0 || after = before))
+
 let () =
   Alcotest.run "region"
     [
@@ -596,6 +732,8 @@ let () =
             test_duplicate_mapping_resolved_at_boot;
           Alcotest.test_case "concurrent faults share one frame" `Quick
             test_concurrent_fault_one_frame;
+          Alcotest.test_case "streaming stores survive frame recycling"
+            `Quick test_wc_stores_survive_frame_recycling;
         ] );
       ( "pmem",
         [
@@ -627,6 +765,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_pmem_wordwise_model;
+          QCheck_alcotest.to_alcotest prop_load_nt_into_matches_load_nt;
           QCheck_alcotest.to_alcotest prop_pstatic_crash_atomic;
         ] );
     ]
