@@ -11,13 +11,25 @@
 
 open Cmdliner
 
-let run dir level =
+(* Open [dir] (recovery runs first, exactly as a restart would) and hand
+   the instance to [k].  Recovery refuses an image it cannot parse, such
+   as a broken chunk chain, with [Failure] or [Invalid_argument]: that
+   is a one-line error and exit 2, not an uncaught exception. *)
+let with_instance dir k =
   if not (Sys.file_exists dir) then begin
     Printf.eprintf "regionctl: no instance at %s\n" dir;
     1
   end
-  else begin
-    let inst = Mnemosyne.open_instance ~dir () in
+  else
+    match Mnemosyne.open_instance ~dir () with
+    | exception (Failure msg | Invalid_argument msg) ->
+        Printf.eprintf "regionctl: %s: recovery refused the image: %s\n" dir
+          msg;
+        2
+    | inst -> k inst
+
+let run dir level =
+  with_instance dir @@ fun inst ->
     let stats = Mnemosyne.reincarnation_stats inst in
     let pmem = Mnemosyne.pmem inst in
     let mgr = Region.Pmem.manager pmem in
@@ -51,9 +63,14 @@ let run dir level =
 
     Printf.printf "\npstatic variables:\n";
     let count = ref 0 in
-    Region.Pstatic.iter v (fun name ~addr ~len ->
+    Region.Pstatic.iter v (fun { name; addr; len; _ } ->
         incr count;
         let value = Region.Pmem.load v addr in
+        let name =
+          match name with
+          | Ok name -> name
+          | Error n -> Printf.sprintf "<name length %d>" n
+        in
         Printf.printf "  %-24s %#014x  %4d bytes  first word %#Lx\n" name
           addr len value);
     if !count = 0 then Printf.printf "  (none)\n";
@@ -78,18 +95,12 @@ let run dir level =
     end;
     Mnemosyne.close inst;
     0
-  end
 
 (* stats: region + heap + log occupancy, plus the recovery-time
    observability counters.  --json emits the same facts as one object,
    with the metrics registry snapshot embedded under "metrics". *)
 let run_stats dir json =
-  if not (Sys.file_exists dir) then begin
-    Printf.eprintf "regionctl: no instance at %s\n" dir;
-    1
-  end
-  else begin
-    let inst = Mnemosyne.open_instance ~dir () in
+  with_instance dir @@ fun inst ->
     let pmem = Mnemosyne.pmem inst in
     let mgr = Region.Pmem.manager pmem in
     let dev = (Mnemosyne.machine inst).dev in
@@ -106,9 +117,12 @@ let run_stats dir json =
        occupancy without the serving front-end running. *)
     let tenants =
       let acc = ref [] in
-      Region.Pstatic.iter (Mnemosyne.view inst) (fun name ~addr ~len:_ ->
-          if String.starts_with ~prefix:Serve.tenant_root_prefix name then
-            acc := (name, addr) :: !acc);
+      let prefix = Serve.tenant_root_prefix in
+      Region.Pstatic.iter (Mnemosyne.view inst) (fun { name; addr; _ } ->
+          match name with
+          | Ok name when String.starts_with ~prefix name ->
+              acc := (name, addr) :: !acc
+          | _ -> ());
       List.sort compare !acc
     in
     let tenant_occ =
@@ -198,23 +212,15 @@ let run_stats dir json =
     end;
     Mnemosyne.close inst;
     0
-  end
 
-(* fsck: open the instance (recovery runs first, exactly as a restart
-   would), then analyze the recovered image read-only. *)
+(* fsck: analyze the recovered image read-only. *)
 let run_fsck dir json =
-  if not (Sys.file_exists dir) then begin
-    Printf.eprintf "regionctl: no instance at %s\n" dir;
-    1
-  end
-  else begin
-    let inst = Mnemosyne.open_instance ~dir () in
+  with_instance dir @@ fun inst ->
     let report = Check.Pmfsck.run (Mnemosyne.view inst) in
     if json then print_endline (Check.Pmfsck.to_json report)
     else print_string (Check.Pmfsck.render report);
     (* No [close]: fsck must leave the image exactly as it found it. *)
     if Check.Pmfsck.ok report then 0 else 2
-  end
 
 (* Every subcommand builds its arguments fresh: a single Arg value
    shared between subcommands means one flag serving every parse, so

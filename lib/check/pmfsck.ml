@@ -43,10 +43,6 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
-(* Used by the record scan to mirror recovery's "stop at the first
-   out-of-sequence torn bit or implausible length" behaviour. *)
-exception Scan_end
-
 let run v =
   let obs = v.Pmem.env.Scm.Env.machine.Scm.Env.obs in
   let findings = ref [] in
@@ -72,10 +68,7 @@ let run v =
            Pmem.rt_capacity);
     for i = 0 to Pmem.rt_capacity - 1 do
       let a = Pmem.entry_addr i in
-      let base = ldi a
-      and len = ldi (a + 8)
-      and inode = ldi (a + 16)
-      and flags = ld (a + 24) in
+      let base, len, inode, flags = Pmem.rt_read_entry ld i in
       if flags = Pmem.flag_valid then begin
         let bad = ref false in
         let err msg =
@@ -120,7 +113,16 @@ let run v =
   (* ---------------------------------------------------------------- *)
   (* 2. The pstatic directory: the persistent roots.                   *)
   let pstatics = ref [] in
-  Pstatic.iter_nt v (fun name ~addr ~len ->
+  Pstatic.iter v (fun { entry_addr; name; addr; len } ->
+      let name =
+        match name with
+        | Ok name -> name
+        | Error n ->
+            add Region_table entry_addr
+              (Printf.sprintf "pstatic entry: name length %d outside [0, %d]"
+                 n Pstatic.max_name_length);
+            ""
+      in
       let data_base = Layout.pstatic_base in
       let data_limit = Layout.pstatic_base + Layout.pstatic_size in
       if len <= 0 || addr < data_base || addr + len > data_limit then
@@ -211,37 +213,28 @@ let run v =
                         sb)
                done
          done;
-         (* The large area: walk the boundary-tag chain.  A bad header
-            size ends the walk — past it every "chunk" would be
-            garbage derived from garbage. *)
-         let lbase = sb_area + (sbs * Hoard.superblock_bytes) in
-         let limit = lbase + large_len in
-         let pos = ref lbase in
-         let broken = ref false in
-         while (not !broken) && !pos < limit do
-           let w = ld !pos in
-           let size = Large.hdr_size w in
-           if size < Large.min_chunk_bytes || !pos + size > limit then begin
-             add Heap_chain !pos
+         (* The large area: recovery's walk of the boundary-tag chain,
+            with each footer checked against its header. *)
+         let chunk pos ~size ~used =
+           incr n_chunks;
+           let fa = Large.footer_addr pos size in
+           let footer = ld fa in
+           if footer <> Int64.of_int size then
+             add Heap_chain fa
                (Printf.sprintf
-                  "chunk chain broken at %#x: header %#Lx gives size %d" !pos
-                  w size);
-             broken := true
-           end
-           else begin
-             incr n_chunks;
-             let fa = Large.footer_addr !pos size in
-             let footer = ld fa in
-             if footer <> Int64.of_int size then
-               add Heap_chain fa
-                 (Printf.sprintf
-                    "chunk at %#x: footer %Ld contradicts header size %d"
-                    !pos footer size);
-             if Large.hdr_used w then
-               extents := (!pos + 8, size - Large.overhead_bytes) :: !extents;
-             pos := !pos + size
-           end
-         done
+                  "chunk at %#x: footer %Ld contradicts header size %d" pos
+                  footer size);
+           if used then
+             extents := (pos + 8, size - Large.overhead_bytes) :: !extents
+         in
+         let lbase = sb_area + (sbs * Hoard.superblock_bytes) in
+         match Large.walk ld ~base:lbase ~len:large_len chunk with
+         | Ok () -> ()
+         | Error (pos, w) ->
+             add Heap_chain pos
+               (Printf.sprintf
+                  "chunk chain broken at %#x: header %#Lx gives size %d" pos w
+                  (Large.hdr_size w))
        end
      end);
 
@@ -302,14 +295,10 @@ let run v =
   (* ---------------------------------------------------------------- *)
   (* 5. Per-structure invariants for structures rooted in pstatics.    *)
   let read_bytes_nt addr len =
-    let padded = (len + 7) land lnot 7 in
-    let buf = Bytes.create padded in
-    let w = ref 0 in
-    while !w < padded do
-      Scm.Word.set buf !w (ld (addr + !w));
-      w := !w + 8
-    done;
-    Bytes.sub buf 0 len
+    let a = addr land lnot 7 in
+    let buf = Bytes.create ((addr + len - a + 7) land lnot 7) in
+    Pmem.load_nt_into v a buf 0 (Bytes.length buf);
+    Bytes.sub buf (addr - a) len
   in
   let check_htable root hdr =
     let module H = Pstruct.Phashtable in
@@ -477,48 +466,11 @@ let run v =
       add Log_header base
         (Printf.sprintf "log %s: head offset %d outside the %d-word buffer"
            name off cap)
-    else begin
-      (* Replay recovery's scan read-only: walk complete records from
-         the head until the torn-bit sequence or a length check stops
-         it.  Whatever stops it is a legal torn tail, not a finding. *)
-      let pos = ref off and par = ref parity in
-      let budget = ref (cap - 1) in
-      let read_chunk () =
-        if !budget = 0 then raise Scan_end;
-        let w = ld (base + Rawl.header_bytes + (8 * !pos)) in
-        let chunk, torn = Rawl.extract_torn w tpos in
-        if torn <> (!par = 1) then raise Scan_end;
-        decr budget;
-        incr pos;
-        if !pos = cap then begin
-          pos := 0;
-          par := 1 - !par
-        end;
-        chunk
-      in
-      try
-        while true do
-          let unp = Pmlog.Bitstream.Unpacker.create () in
-          let next_word () =
-            let rec go () =
-              match Pmlog.Bitstream.Unpacker.take unp with
-              | Some w -> w
-              | None ->
-                  Pmlog.Bitstream.Unpacker.feed unp (read_chunk ());
-                  go ()
-            in
-            go ()
-          in
-          let n = Int64.to_int (next_word ()) in
-          if n < 1 || n > Rawl.max_record_words_for ~cap_words:cap then
-            raise Scan_end;
-          for _ = 1 to n do
-            ignore (next_word ())
-          done;
-          incr n_records
-        done
-      with Scan_end -> ()
-    end
+    else
+      (* Recovery's own scan, read-only.  Whatever stops it is a legal
+         torn tail, not a finding. *)
+      let records, _tail = Rawl.scan ld ~base ~cap ~off ~parity ~tpos in
+      n_records := !n_records + List.length records
   in
   (if heap_base <> 0 && ld heap_base = Heap.magic then
      check_log "heap.alloc" (Heap.alog_base heap_base) Heap.alog_bytes);

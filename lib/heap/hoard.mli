@@ -95,7 +95,10 @@ val bitmap_words : int
 
 val unpack_header : int64 -> int option
 (** The block size, if the word is a valid superblock header (magic in
-    the top byte, a real size class in the low bits). *)
+    the top byte, a real size class in the low bits).  The one parser
+    of a header: {!attach} and the offline analyzer each read the
+    header and then the bitmap words, in that order, and decode the
+    header with it. *)
 
 val blocks_per : int -> int
 (** Blocks a superblock of that class holds. *)

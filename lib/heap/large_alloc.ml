@@ -31,19 +31,27 @@ let create v alog ~base ~len =
   Pmem.fence v;
   { v; alog; base; len; free_list = [ (base, len) ]; scanned = 0 }
 
+(* The one walk of the chain: recovery's and the offline analyzer's. *)
+let walk ld ~base ~len f =
+  let rec go pos =
+    if pos >= base + len then Ok ()
+    else
+      let w = ld pos in
+      let size = hdr_size w in
+      if size < min_chunk_bytes || pos + size > base + len then Error (pos, w)
+      else (f pos ~size ~used:(hdr_used w); go (pos + size))
+  in
+  go base
+
 let attach v alog ~base ~len =
   let t = { v; alog; base; len; free_list = []; scanned = 0 } in
   let free_rev = ref [] in
-  let pos = ref base in
-  while !pos < base + len do
-    let w = Pmem.load v !pos in
-    let size = hdr_size w in
-    if size < min_chunk_bytes || !pos + size > base + len then
-      failwith "Large_alloc.attach: corrupt chunk chain";
-    if not (hdr_used w) then free_rev := (!pos, size) :: !free_rev;
-    t.scanned <- t.scanned + 1;
-    pos := !pos + size
-  done;
+  let chunk pos ~size ~used =
+    if not used then free_rev := (pos, size) :: !free_rev;
+    t.scanned <- t.scanned + 1
+  in
+  if Result.is_error (walk (Pmem.load v) ~base ~len chunk) then
+    failwith "Large_alloc.attach: corrupt chunk chain";
   t.free_list <- List.rev !free_rev;
   t
 

@@ -37,13 +37,25 @@ val free_bytes : t -> int
 val chunks_scanned : t -> int
 (** Chunks examined by the last {!attach}. *)
 
-(** {1 On-SCM format introspection}
+(** {1 On-SCM format}
 
     Boundary-tag words, exposed for the offline analyzer
     ({!Check.Pmfsck}): each chunk starts with a header word and ends
     with a footer word holding the chunk size. *)
 
+val walk :
+  (int -> int64) ->
+  base:int ->
+  len:int ->
+  (int -> size:int -> used:bool -> unit) ->
+  (unit, int * int64) result
+(** [walk load ~base ~len f] calls [f chunk ~size ~used] on each chunk
+    of the [len]-byte area at [base], in address order, reading each
+    header word through [load].  It stops with [Error (chunk, header)]
+    at a header whose size is below {!min_chunk_bytes} or runs past the
+    area.  The one walk of the chain: {!attach} refuses a broken one,
+    the offline analyzer checks each footer in [f]. *)
+
 val hdr_size : int64 -> int
-val hdr_used : int64 -> bool
 val footer_addr : int -> int -> int
 (** [footer_addr chunk size] is the chunk's footer-word address. *)

@@ -129,7 +129,7 @@ let extract_torn word tpos =
    a generation (rotating it at a wrap would be unsound: stale words
    checked at a new position pass the check half the time).  Rotation
    happens in {!truncate_all} instead — see below. *)
-let next_pass _t ~parity ~tpos = (1 - parity, tpos)
+let next_pass ~parity ~tpos = (1 - parity, tpos)
 
 (* How many buffer passes between torn-bit rotations. *)
 let rotate_period = 16
@@ -206,7 +206,7 @@ let[@inline] write_stored t chunk =
   if t.tail_off = t.cap then begin
     t.tail_off <- 0;
     t.passes <- t.passes + 1;
-    let parity, tpos = next_pass t ~parity:t.tail_parity ~tpos:t.tail_tpos in
+    let parity, tpos = next_pass ~parity:t.tail_parity ~tpos:t.tail_tpos in
     t.tail_parity <- parity;
     t.tail_tpos <- tpos
   end
@@ -366,7 +366,7 @@ let advance_head_post ~records t ~words =
       Scm.Pmcheck.note_truncate chk ~count:records ~log:t.base ~all:false);
   let raw = t.head_off + words in
   if raw >= t.cap then begin
-    let parity, tpos = next_pass t ~parity:t.head_parity ~tpos:t.head_tpos in
+    let parity, tpos = next_pass ~parity:t.head_parity ~tpos:t.head_tpos in
     post_head t ~off:(raw - t.cap) ~parity ~tpos
   end
   else post_head t ~off:raw ~parity:t.head_parity ~tpos:t.head_tpos
@@ -390,82 +390,77 @@ let advance_head_group entries =
 
 exception Scan_end
 
-let attach v ~base =
-  let cap, rotate = unpack_cap (Pmem.load v (base + 8)) in
-  if cap < 4 then failwith "Rawl.attach: no log at this address";
-  register_with_pmcheck v ~base ~cap_words:cap;
-  let head_off, head_parity, head_tpos = unpack_head (Pmem.load v base) in
-  let append_ctr, trunc_ctr = mk_counters v in
-  let race_head, race_tail = race_labels_for base in
-  let t =
-    { v; base; cap; rotate; passes = 0; head_off; head_parity; head_tpos;
-      tail_off = head_off; tail_parity = head_parity; tail_tpos = head_tpos;
-      append_ctr; trunc_ctr; owner = 0; scratch = Bytes.make 512 '\000';
-      race = None; race_head; race_tail }
-  in
-  register_gauges t;
-  (* Scan forward from the head "until it reaches the end of the log,
-     where the torn bit reverses, or until it finds a log word with an
-     out-of-sequence torn bit, indicating a partial write." *)
-  let pos = ref head_off and parity = ref head_parity
-  and tpos = ref head_tpos in
+(* Scan forward from the head "until it reaches the end of the log,
+   where the torn bit reverses, or until it finds a log word with an
+   out-of-sequence torn bit, indicating a partial write."  The one
+   parser of the record format: recovery reads through [Pmem.load], the
+   offline analyzer through [Pmem.load_nt]. *)
+let scan ld ~base ~cap ~off ~parity ~tpos =
+  let pos = ref off and parity = ref parity and tpos = ref tpos in
   let budget = ref (cap - 1) in
   let read_chunk () =
     if !budget = 0 then raise Scan_end;
-    let w = Pmem.load v (slot_addr t !pos) in
+    let w = ld (base + header_bytes + (8 * !pos)) in
     let chunk, torn = extract_torn w !tpos in
     if torn <> (!parity = 1) then raise Scan_end;
     decr budget;
     incr pos;
     if !pos = cap then begin
       pos := 0;
-      let parity', tpos' = next_pass t ~parity:!parity ~tpos:!tpos in
+      let parity', tpos' = next_pass ~parity:!parity ~tpos:!tpos in
       parity := parity';
       tpos := tpos'
     end;
     chunk
   in
-  let records = ref [] in
-  (try
-     while true do
-       (* Checkpoint the cursor: a partial record rolls back to here. *)
-       let rec_pos = !pos
-       and rec_parity = !parity
-       and rec_tpos = !tpos
-       and rec_budget = !budget in
-       (try
-          let unp = Bitstream.Unpacker.create () in
-          let next_word () =
-            let rec go () =
-              match Bitstream.Unpacker.take unp with
-              | Some w -> w
-              | None ->
-                  Bitstream.Unpacker.feed unp (read_chunk ());
-                  go ()
-            in
+  let read_record () =
+    let unp = Bitstream.Unpacker.create () in
+    let next_word () =
+      let rec go () =
+        match Bitstream.Unpacker.take unp with
+        | Some w -> w
+        | None ->
+            Bitstream.Unpacker.feed unp (read_chunk ());
             go ()
-          in
-          let n = Int64.to_int (next_word ()) in
-          if n < 1 || n > max_record_words_for ~cap_words:cap then
-            raise Scan_end;
-          let payload = Array.make n 0L in
-          for i = 0 to n - 1 do
-            payload.(i) <- next_word ()
-          done;
-          records := payload :: !records;
-          (* Move tail past this complete record. *)
-          t.tail_off <- !pos;
-          t.tail_parity <- !parity;
-          t.tail_tpos <- !tpos
-        with Scan_end ->
-          (* Partial trailing record: discard and stop the scan. *)
-          pos := rec_pos;
-          parity := rec_parity;
-          tpos := rec_tpos;
-          budget := rec_budget;
-          raise Scan_end)
-     done
-   with Scan_end -> ());
+      in
+      go ()
+    in
+    let n = Int64.to_int (next_word ()) in
+    if n < 1 || n > max_record_words_for ~cap_words:cap then raise Scan_end;
+    let payload = Array.make n 0L in
+    for i = 0 to n - 1 do
+      payload.(i) <- next_word ()
+    done;
+    payload
+  in
+  let rec records acc =
+    (* Checkpoint the cursor: a partial record rolls back to here. *)
+    let rec_pos = !pos and rec_parity = !parity and rec_tpos = !tpos in
+    match read_record () with
+    | payload -> records (payload :: acc)
+    | exception Scan_end ->
+        (* The end of the log, or a partial record: discard it, stop. *)
+        (List.rev acc, (rec_pos, rec_parity, rec_tpos))
+  in
+  records []
+
+let attach v ~base =
+  let cap, rotate = unpack_cap (Pmem.load v (base + 8)) in
+  if cap < 4 then failwith "Rawl.attach: no log at this address";
+  register_with_pmcheck v ~base ~cap_words:cap;
+  let head_off, head_parity, head_tpos = unpack_head (Pmem.load v base) in
+  let records, (tail_off, tail_parity, tail_tpos) =
+    scan (Pmem.load v) ~base ~cap ~off:head_off ~parity:head_parity
+      ~tpos:head_tpos
+  in
+  let append_ctr, trunc_ctr = mk_counters v in
+  let race_head, race_tail = race_labels_for base in
+  let t =
+    { v; base; cap; rotate; passes = 0; head_off; head_parity; head_tpos;
+      tail_off; tail_parity; tail_tpos; append_ctr; trunc_ctr; owner = 0;
+      scratch = Bytes.make 512 '\000'; race = None; race_head; race_tail }
+  in
+  register_gauges t;
   (* Erase the stale suffix: words of a discarded partial append ahead
      of the recovered tail still carry the current pass parity, and a
      later crash could mis-parse them as a record continuation.  Rewrite
@@ -506,7 +501,7 @@ let attach v ~base =
     if !erase_pos = cap then begin
       erase_pos := 0;
       let parity', tpos' =
-        next_pass t ~parity:!erase_parity ~tpos:!erase_tpos
+        next_pass ~parity:!erase_parity ~tpos:!erase_tpos
       in
       erase_parity := parity';
       erase_tpos := tpos'
@@ -548,4 +543,4 @@ let attach v ~base =
     else advance 1
   done;
   if !erased then Pmem.fence v;
-  (t, List.rev !records)
+  (t, records)

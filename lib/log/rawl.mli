@@ -59,7 +59,25 @@ val attach : Region.Pmem.view -> base:int -> t * int64 array list
 (** Recover an existing log: returns the handle (tail positioned after
     the last complete record) and every complete record from head to
     tail, in order.  Incomplete trailing appends are discarded, exactly
-    as the paper's recovery scan does. *)
+    as the paper's recovery scan does: {!scan} through
+    {!Region.Pmem.load}, then stale free words are rewritten as filler. *)
+
+val scan :
+  (int -> int64) ->
+  base:int ->
+  cap:int ->
+  off:int ->
+  parity:int ->
+  tpos:int ->
+  int64 array list * (int * int * int)
+(** Recovery's torn-bit scan, the one parser of the record format: from
+    the head cursor [(off, parity, tpos)] ({!unpack_head}) of the log at
+    [base] with a [cap]-word buffer, read stored words through the given
+    load until a torn bit is out of sequence, a length is implausible or
+    [cap - 1] words are read.  Returns the complete records in order and
+    the tail cursor after the last; a partial trailing record is
+    dropped.  {!attach} passes {!Region.Pmem.load}, the offline analyzer
+    ({!Check.Pmfsck}) {!Region.Pmem.load_nt}. *)
 
 type append_result = Appended of int  (** stored-word span *) | Full
 
@@ -126,9 +144,9 @@ val set_race : t -> Race_api.hooks option -> unit
 
 (** {1 Read-only format introspection}
 
-    The on-SCM header/word formats, exposed for the offline image
-    analyzer ({!Check.Pmfsck}), which scans log images without a
-    handle and without mutating anything. *)
+    The on-SCM header word formats, exposed for the offline image
+    analyzer ({!Check.Pmfsck}), which checks a log's header words and
+    then runs {!scan} without a handle and without mutating anything. *)
 
 val header_bytes : int
 (** Bytes before the circular buffer (head word, cap word, padding). *)

@@ -265,12 +265,12 @@ let entry_addr i =
 let flag_intent = 1L
 let flag_valid = 3L  (* intent | valid *)
 
-let rt_read_entry v i =
+let rt_read_entry ld i =
   let a = entry_addr i in
-  ( Int64.to_int (load v a),
-    Int64.to_int (load v (a + 8)),
-    Int64.to_int (load v (a + 16)),
-    load v (a + 24) )
+  ( Int64.to_int (ld a),
+    Int64.to_int (ld (a + 8)),
+    Int64.to_int (ld (a + 16)),
+    ld (a + 24) )
 
 let rt_write_entry v i ~base ~len ~inode ~flags =
   let a = entry_addr i in
@@ -289,7 +289,7 @@ let rt_find_free_slot v =
   let rec go i =
     if i >= rt_capacity then failwith "Pmem: region table full"
     else
-      let _, _, _, flags = rt_read_entry v i in
+      let _, _, _, flags = rt_read_entry (load v) i in
       if flags = 0L then i else go (i + 1)
   in
   go 0
@@ -357,7 +357,7 @@ let open_instance machine backing =
      partially created (paper section 4.2). *)
   let live_inodes = ref [ static_inode ] in
   for i = 0 to rt_capacity - 1 do
-    let base, len, inode, flags = rt_read_entry v i in
+    let base, len, inode, flags = rt_read_entry (load v) i in
     if flags = flag_valid then begin
       register t { base; len; inode; slot = i };
       live_inodes := inode :: !live_inodes;

@@ -73,6 +73,10 @@ val entry_addr : int -> int
 val flag_intent : int64
 val flag_valid : int64
 
+val rt_read_entry : (int -> int64) -> int -> int * int * int * int64
+(** Entry [i]'s [(base, len, inode, flags)] through the given load: the
+    one parser, {!open_instance}'s replay and the offline analyzer's. *)
+
 val is_persistent : int -> bool
 (** The reserved-range check (constant time, no lookup). *)
 

@@ -33,15 +33,6 @@ let read_name v i len =
   Pmem.load_bytes v (entry_addr i + 16) buf 0 len;
   Bytes.to_string buf
 
-let entry v i =
-  let a = entry_addr i in
-  let addr = Int64.to_int (Pmem.load v (a + 48)) in
-  if addr = 0 then None
-  else
-    let name_len = Int64.to_int (Pmem.load v (a + 8)) in
-    let len = Int64.to_int (Pmem.load v (a + 56)) in
-    Some (read_name v i name_len, addr, len)
-
 let lookup v name =
   ensure_init v;
   let h = hash_name name in
@@ -110,21 +101,21 @@ let get v name len =
       Pmem.fence v;
       addr
 
-let iter v f =
-  ensure_init v;
-  for i = 0 to capacity - 1 do
-    match entry v i with
-    | Some (name, addr, len) -> f name ~addr ~len
-    | None -> ()
-  done
+type entry = {
+  entry_addr : int;
+  name : (string, int) result;
+  addr : int;
+  len : int;
+}
 
-(* Read-only enumeration over the non-faulting load path: the offline
-   analyzer walks the directory of a possibly-corrupt image without
-   touching cache state, frames, or the backing store.  Entries with an
-   implausible name length are surfaced with an empty name rather than
-   skipped, so a corrupted directory is still visible to the caller. *)
-let iter_nt v f =
-  if Pmem.load_nt v Layout.pstatic_base = magic then
+(* The one enumeration, over the non-faulting load path and without
+   initializing an empty directory: an inspection tool or the offline
+   analyzer walks the directory of a possibly corrupt image without
+   touching cache state, frames, or the backing store.  A name length
+   no [get] could have stored is handed back rather than read past. *)
+let iter v f =
+  if Pmem.load_nt v Layout.pstatic_base = magic then begin
+    let buf = Bytes.create max_name_length in
     for i = 0 to capacity - 1 do
       let a = entry_addr i in
       let addr = Int64.to_int (Pmem.load_nt v (a + 48)) in
@@ -132,17 +123,13 @@ let iter_nt v f =
         let name_len = Int64.to_int (Pmem.load_nt v (a + 8)) in
         let len = Int64.to_int (Pmem.load_nt v (a + 56)) in
         let name =
-          if name_len < 0 || name_len > max_name_length then ""
+          if name_len < 0 || name_len > max_name_length then Error name_len
           else begin
-            let buf = Bytes.create max_name_length in
-            let w = ref 0 in
-            while !w < max_name_length do
-              Scm.Word.set buf !w (Pmem.load_nt v (a + 16 + !w));
-              w := !w + 8
-            done;
-            Bytes.sub_string buf 0 name_len
+            Pmem.load_nt_into v (a + 16) buf 0 max_name_length;
+            Ok (Bytes.sub_string buf 0 name_len)
           end
         in
-        f name ~addr ~len
+        f { entry_addr = a; name; addr; len }
       end
     done
+  end

@@ -21,12 +21,25 @@ val get : Pmem.view -> string -> int -> int
     area is full.  Crash-safe: a variable either exists completely or
     not at all. *)
 
-val iter : Pmem.view -> (string -> addr:int -> len:int -> unit) -> unit
-(** Enumerate all static variables. *)
+val max_name_length : int
+(** 32: the longest name {!get} stores. *)
 
-val iter_nt : Pmem.view -> (string -> addr:int -> len:int -> unit) -> unit
-(** Like {!iter}, but entirely over the non-faulting {!Pmem.load_nt}
-    path and without initializing an empty directory: safe on
-    arbitrary (even corrupt) images and guaranteed not to perturb
-    cache state, frames, or the backing store.  A corrupt entry whose
-    name length is implausible is reported with an empty name. *)
+(** One directory entry as the image holds it. *)
+type entry = {
+  entry_addr : int;  (** where the directory entry itself lives *)
+  name : (string, int) result;
+      (** [Error n] when the stored name length [n] is negative or
+          above {!max_name_length}: no {!get} wrote it, and no name is
+          read.  An empty name is [Ok ""]. *)
+  addr : int;  (** the variable's address *)
+  len : int;  (** its length in bytes *)
+}
+
+val iter : Pmem.view -> (entry -> unit) -> unit
+(** Enumerate every static variable, in directory order.  The one walk
+    of the directory, shared by inspection tools and the offline
+    analyzer ({!Check.Pmfsck}): it reads entirely over the non-faulting
+    {!Pmem.load_nt} path and does not initialize an empty directory,
+    so it is safe on any image, however corrupt, and leaves cache
+    state, frames and the backing store as they were.  {!lookup} and
+    {!get} keep their own temporal reads. *)

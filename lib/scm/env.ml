@@ -44,34 +44,6 @@ let register_dev_gauges obs dev =
       done;
       !worst)
 
-let make_machine ?(latency = Latency_model.default) ?cache_capacity_lines
-    ?(seed = 42) ?obs ?crash_point ~nframes () =
-  let obs = match obs with Some o -> o | None -> Obs.create () in
-  let cp =
-    match crash_point with Some c -> c | None -> Crashpoint.create ()
-  in
-  let dev = Scm_device.create ~nframes () in
-  let cache =
-    Cache.create ?capacity_lines:cache_capacity_lines ~seed ~obs ~cp dev
-  in
-  register_dev_gauges obs dev;
-  {
-    dev;
-    cache;
-    latency;
-    crash_rng = Random.State.make [| seed; 0x5eed |];
-    obs;
-    crash_point = cp;
-    pmcheck = None;
-    wc_buffers = [];
-    media_busy_until = 0;
-    flush_ctr = Obs.Metrics.counter obs.Obs.metrics "scm.flushes";
-    fence_ctr = Obs.Metrics.counter obs.Obs.metrics "scm.fences";
-    pcm_occ =
-      latency.Latency_model.pcm_write_ns
-      / max 1 latency.Latency_model.media_banks;
-  }
-
 let machine_of_device ?(latency = Latency_model.default) ?cache_capacity_lines
     ?(seed = 42) ?obs ?crash_point dev =
   let obs = match obs with Some o -> o | None -> Obs.create () in
@@ -98,6 +70,11 @@ let machine_of_device ?(latency = Latency_model.default) ?cache_capacity_lines
       latency.Latency_model.pcm_write_ns
       / max 1 latency.Latency_model.media_banks;
   }
+
+let make_machine ?latency ?cache_capacity_lines ?seed ?obs ?crash_point
+    ~nframes () =
+  machine_of_device ?latency ?cache_capacity_lines ?seed ?obs ?crash_point
+    (Scm_device.create ~nframes ())
 
 let attach_wc machine =
   let wc =

@@ -71,9 +71,9 @@ val make_machine :
   nframes:int ->
   unit ->
   machine
-(** Build a machine: device of [nframes] 4-KiB frames plus cache.
-    [obs] defaults to a fresh handle with tracing disabled;
-    [crash_point] to a fresh disarmed counter. *)
+(** Build a machine: {!machine_of_device} over a fresh zeroed device of
+    [nframes] 4-KiB frames.  [obs] defaults to a fresh handle with
+    tracing disabled; [crash_point] to a fresh disarmed counter. *)
 
 val machine_of_device :
   ?latency:Latency_model.t ->

@@ -326,6 +326,81 @@ let test_fsck_phashtable_bucket_count () =
         (Int64.logor (Int64.shift_left Pstruct.Phashtable.magic 56) 24L);
       check_finds (fsck inst) Check.Pmfsck.Pstruct)
 
+(* A directory entry whose name length no [Pstatic.get] could have
+   stored: the enumeration hands the length back instead of reading a
+   name, and pmfsck reports it at the entry. *)
+let test_fsck_pstatic_name_length () =
+  with_tmpdir (fun dir ->
+      let inst = Mnemosyne.open_instance ~dir () in
+      ignore (seed_block inst "chk.root");
+      check_clean "pre-corruption image" (fsck inst);
+      let v = Mnemosyne.view inst in
+      let entry = ref (-1) in
+      Region.Pstatic.iter v (fun e ->
+          if e.name = Ok "chk.root" then entry := e.entry_addr);
+      corrupt v (!entry + 8) (-5L);
+      let r = fsck inst in
+      match r.Check.Pmfsck.findings with
+      | [ f ] ->
+          Alcotest.(check string) "kind" "region_table"
+            (Check.Pmfsck.kind_name f.kind);
+          Alcotest.(check int) "at the entry" !entry f.addr;
+          Alcotest.(check string) "detail"
+            "pstatic entry: name length -5 outside [0, 32]" f.detail
+      | _ ->
+          Alcotest.failf "expected one finding, got:\n%s"
+            (Check.Pmfsck.render r))
+
+(* pmfsck counts a log's records with recovery's own scan.  Commits
+   under asynchronous truncation with no daemon stay unretired, one
+   record each; nothing allocates, so the heap's allocation log stays
+   empty.  [retired] commits first go through and are retired, which
+   moves the head, so the [live] records that follow can wrap past the
+   end of the buffer. *)
+let fsck_log_records ~log_cap_words ~retired ~live =
+  with_tmpdir (fun dir ->
+      let mtm =
+        {
+          Mtm.Txn.default_config with
+          truncation = Mtm.Txn.Async;
+          log_cap_words;
+        }
+      in
+      let inst = Mnemosyne.open_instance ~mtm ~dir () in
+      let v = Mnemosyne.view inst in
+      let slot = Mnemosyne.pstatic inst "chk.ctr" 8 in
+      let th = Mnemosyne.thread inst 0 v.Pmem.env in
+      let commit i =
+        Mtm.Txn.run th (fun tx -> Mtm.Txn.store tx slot (Int64.of_int i))
+      in
+      for i = 1 to retired do
+        commit i
+      done;
+      while Mtm.Txn.process_one_truncation th v do
+        ()
+      done;
+      for i = 1 to live do
+        commit i
+      done;
+      Alcotest.(check int) "unretired" live (Mtm.Txn.pending_truncations th);
+      let r = fsck inst in
+      check_clean "live image" r;
+      Alcotest.(check int) "one record per unretired commit" live
+        r.Check.Pmfsck.stats.log_records;
+      let slot0 = Mnemosyne.pstatic inst "mtm.log.00" 8 in
+      let log = Int64.to_int (Pmem.load_nt v slot0) in
+      let head, _, _ = Pmlog.Rawl.unpack_head (Pmem.load_nt v log) in
+      let used, cap = Mtm.Txn.log_occupancy th in
+      head + used > cap)
+
+let test_fsck_counts_log_records () =
+  Alcotest.(check bool) "records lie in one pass" false
+    (fsck_log_records ~log_cap_words:4096 ~retired:0 ~live:7)
+
+let test_fsck_counts_wrapped_log_records () =
+  Alcotest.(check bool) "records wrap past the end of the buffer" true
+    (fsck_log_records ~log_cap_words:128 ~retired:20 ~live:7)
+
 (* A healthy image with real structures in it must stay silent, and
    two full passes must not mutate the backing store by even one
    word: pmfsck is strictly read-only. *)
@@ -745,6 +820,12 @@ let () =
             test_fsck_phashtable_bucket_count;
           Alcotest.test_case "clean image, zero mutations" `Quick
             test_fsck_clean_and_readonly;
+          Alcotest.test_case "implausible pstatic name length" `Quick
+            test_fsck_pstatic_name_length;
+          Alcotest.test_case "log records counted" `Quick
+            test_fsck_counts_log_records;
+          Alcotest.test_case "log records counted across the wrap" `Quick
+            test_fsck_counts_wrapped_log_records;
         ] );
       ( "racecheck",
         [

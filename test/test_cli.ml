@@ -2,7 +2,8 @@
    arguments, so a flag given to one subcommand can neither leak into
    nor be required by another — `stats --json` emits JSON while `fsck`
    without the flag stays text, and vice versa — and `fsck` exits 0
-   clean, 1 on a missing instance, 2 on findings.  sched_explore: a
+   clean, 1 on a missing instance, 2 on findings or an image recovery
+   refuses.  sched_explore: a
    knob combination the transaction system rejects, or a malformed
    trace, is a one-line error, not an uncaught exception.  bench: an
    unknown argument is an error, and the host gate fails on a key its
@@ -138,6 +139,65 @@ let test_fsck_findings_exit_2 () =
       Alcotest.(check int) "fsck with findings exits 2" 2 code;
       Alcotest.(check bool) "the leak is reported" true (contains "leak" out))
 
+(* A name length no [Pstatic.get] could store, written into the
+   directory entry of "cli.obj": inspection lists the entry under an
+   empty name instead of reading past it, stats still runs, and fsck
+   reports the entry. *)
+let test_corrupt_pstatic_name_length () =
+  with_tmpdir (fun dir ->
+      make_instance dir;
+      let inst = Mnemosyne.open_instance ~dir () in
+      let v = Mnemosyne.view inst in
+      let obj = Mnemosyne.pstatic inst "cli.obj" 8 in
+      let entry = ref (-1) in
+      Region.Pstatic.iter v (fun e ->
+          if e.addr = obj then entry := e.entry_addr);
+      Region.Pmem.wtstore v (!entry + 8) (-5L);
+      Region.Pmem.fence v;
+      Mnemosyne.close inst;
+      let code, out = run_cli [ dir ] in
+      Alcotest.(check int) "inspect exits 0" 0 code;
+      Alcotest.(check bool) "the entry is listed" true
+        (contains (Printf.sprintf "%#014x" obj) out);
+      let code, _ = run_cli [ "stats"; dir ] in
+      Alcotest.(check int) "stats exits 0" 0 code;
+      let code, out = run_cli [ "fsck"; dir ] in
+      Alcotest.(check int) "fsck exits 2" 2 code;
+      Alcotest.(check bool) "the name length is reported" true
+        (contains "name length -5" out))
+
+(* An 8-byte header at the start of the large area breaks the chunk
+   chain, so recovery refuses the image: every subcommand says so in
+   one line and exits 2. *)
+let test_refused_image_is_one_line () =
+  with_tmpdir (fun dir ->
+      make_instance dir;
+      let inst = Mnemosyne.open_instance ~dir () in
+      let v = Mnemosyne.view inst in
+      let hb = Pmheap.Heap.base (Mnemosyne.heap inst) in
+      let sbs =
+        Int64.to_int (Region.Pmem.load v (Pmheap.Heap.sb_count_addr hb))
+      in
+      Region.Pmem.wtstore v
+        (Pmheap.Heap.sb_area_base hb + (sbs * Pmheap.Hoard.superblock_bytes))
+        8L;
+      Region.Pmem.fence v;
+      Mnemosyne.close inst;
+      List.iter
+        (fun args ->
+          let code, out = run_cli (args @ [ dir ]) in
+          let what = String.concat " " ("regionctl" :: args) in
+          Alcotest.(check int) (what ^ " exits 2") 2 code;
+          Alcotest.(check bool)
+            (what ^ " is one line")
+            true
+            (starts_with
+               (Printf.sprintf "regionctl: %s: recovery refused the image: "
+                  dir)
+               out
+            && not (String.contains out '\n')))
+        [ []; [ "stats" ]; [ "fsck" ] ])
+
 let test_sched_explore_rejects_bad_knobs () =
   with_tmpdir (fun dir ->
       List.iter
@@ -230,6 +290,10 @@ let () =
             test_missing_instance_fails;
           Alcotest.test_case "fsck findings exit 2" `Quick
             test_fsck_findings_exit_2;
+          Alcotest.test_case "corrupt pstatic name length" `Quick
+            test_corrupt_pstatic_name_length;
+          Alcotest.test_case "a refused image is a one-line error" `Quick
+            test_refused_image_is_one_line;
         ] );
       ( "sched_explore",
         [

@@ -521,9 +521,9 @@ let test_pstatic_many_variables () =
       let distinct = List.sort_uniq compare addrs in
       Alcotest.(check int) "all distinct" 20 (List.length distinct);
       let count = ref 0 in
-      Region.Pstatic.iter v (fun _ ~addr:_ ~len ->
+      Region.Pstatic.iter v (fun e ->
           incr count;
-          Alcotest.(check int) "len" 8 len);
+          Alcotest.(check int) "len" 8 e.len);
       Alcotest.(check int) "iter sees all" 20 !count)
 
 let test_error_paths () =
