@@ -57,8 +57,13 @@ let run dir level =
     else
       List.iter
         (fun (addr, len) ->
-          Printf.printf "  %#014x  %8d bytes  (%d pages)\n" addr len
-            (Region.Layout.pages_for len))
+          (* a region's file stays empty until a page is written to it *)
+          let file, bytes = Region.Pmem.backing_file pmem addr in
+          Printf.printf "  %#014x  %8d bytes  (%d pages)  file %s: %s\n" addr
+            len
+            (Region.Layout.pages_for len)
+            file
+            (if bytes = 0 then "none" else Printf.sprintf "%d bytes" bytes))
         regions;
 
     Printf.printf "\npstatic variables:\n";

@@ -130,6 +130,10 @@ let run v =
           (Printf.sprintf
              "pstatic entry %S: data extent %#x+%d outside the static area"
              name addr len)
+      else if addr land 7 <> 0 then
+        add Region_table addr
+          (Printf.sprintf "pstatic entry %S: data address %#x is unaligned"
+             name addr)
       else pstatics := (name, addr, len) :: !pstatics);
   let pstatics = List.rev !pstatics in
   let slot_of name =
@@ -147,8 +151,12 @@ let run v =
     | None -> 0
     | Some slot -> ldi slot
   in
+  let heap_readable = heap_base land 7 = 0 && region_of heap_base <> None in
   (if heap_base <> 0 then
-     if ld heap_base <> Heap.magic then
+     if not heap_readable then
+       add Heap_bitmap heap_base
+         "heap base is not an aligned address in a region"
+     else if ld heap_base <> Heap.magic then
        add Heap_bitmap heap_base "heap header magic missing"
      else begin
        let sbs = ldi (Heap.sb_count_addr heap_base) in
@@ -309,6 +317,9 @@ let run v =
            buckets)
     else
       let arr = ldi (root + 8) in
+      if arr land 7 <> 0 then
+        add Pstruct (root + 8) "hash table: bucket array address unaligned"
+      else
       match find_ext arr with
       | None ->
           add Pstruct (root + 8)
@@ -332,6 +343,12 @@ let run v =
                     (arr + (8 * b))
                     (Printf.sprintf
                        "hash table bucket %d: chain does not terminate" b);
+                  walking := false
+                end
+                else if !node land 7 <> 0 then begin
+                  add Pstruct !node
+                    (Printf.sprintf
+                       "hash table bucket %d: chain node address unaligned" b);
                   walking := false
                 end
                 else
@@ -384,6 +401,8 @@ let run v =
       incr nodes_seen;
       if !nodes_seen > nx + 1 then
         add Pstruct node "B+ tree: node graph does not terminate"
+      else if node land 7 <> 0 then
+        add Pstruct node "B+ tree: node address unaligned"
       else
         match find_ext node with
         | None ->
@@ -438,13 +457,12 @@ let run v =
     (fun (_, addr, len) ->
       if len = 8 then
         let p = ldi addr in
-        match find_ext p with
-        | None -> ()
-        | Some _ ->
-            let hdr = ld p in
-            if Int64.shift_right_logical hdr 56 = Pstruct.Phashtable.magic
-            then check_htable p hdr
-            else if hdr = Pstruct.Bp_tree.magic then check_bptree p)
+        (* a root is an allocated block: an unaligned word is not one *)
+        if p land 7 = 0 && find_ext p <> None then
+          let hdr = ld p in
+          if Int64.shift_right_logical hdr 56 = Pstruct.Phashtable.magic then
+            check_htable p hdr
+          else if hdr = Pstruct.Bp_tree.magic then check_bptree p)
     pstatics;
 
   (* ---------------------------------------------------------------- *)
@@ -472,7 +490,7 @@ let run v =
       let records, _tail = Rawl.scan ld ~base ~cap ~off ~parity ~tpos in
       n_records := !n_records + List.length records
   in
-  (if heap_base <> 0 && ld heap_base = Heap.magic then
+  (if heap_readable && ld heap_base = Heap.magic then
      check_log "heap.alloc" (Heap.alog_base heap_base) Heap.alog_bytes);
   List.iter
     (fun (name, addr, len) ->
@@ -484,6 +502,9 @@ let run v =
         let base = ldi addr in
         if base <> 0 then
           match region_of base with
+          | Some _ when base land 7 <> 0 ->
+              add Log_header addr
+                (Printf.sprintf "log %s: base %#x is unaligned" name base)
           | Some (rb, rl, _) -> check_log name base (rb + rl - base)
           | None ->
               add Log_header addr

@@ -483,13 +483,14 @@ let attach v ~base =
      Every free word is read non-temporally: sweeping the whole free
      region must not evict the working set or perturb the eviction
      rng.  While the view's write-combining buffer is empty such a read
-     is a pure copy that charges no time, so the sweep reads ahead in
-     runs of words ({!Pmem.load_nt_into}) and tests each torn bit in
-     the buffer.  A filler stays pending until the closing fence, so
-     from the first filler on (or if a store was pending on entry) it
-     reads word by word: a posted filler makes the next load in its
-     line drain the buffer, and each drain is a crash point that must
-     fall where it always has. *)
+     is a pure copy that charges no time, so the sweep reads ahead
+     ({!Pmem.load_nt_into}) a page at a time, each run ending at a page
+     boundary or where the buffer wraps, and tests each torn bit in the
+     copy.  A filler stays pending until the closing fence, so from the
+     first filler on (or if a store was pending on entry) it reads word
+     by word: a posted filler makes the next load in its line drain the
+     buffer, and each drain is a crash point that must fall where it
+     always has. *)
   let erase_pos = ref t.tail_off
   and erase_parity = ref t.tail_parity
   and erase_tpos = ref t.tail_tpos
@@ -516,14 +517,19 @@ let attach v ~base =
     erased := true;
     advance 1
   in
-  (* Runs are read into the append scratch, idle during recovery. *)
-  let buf = t.scratch in
+  (* Runs are read into the instance's read-ahead page, which other
+     fibers' sweeps share: nothing between a run's read and its last
+     torn-bit test can yield. *)
+  let buf = Pmem.read_ahead_buf v in
+  let page_size = Region.Layout.page_size in
   let wc = v.Pmem.env.Scm.Env.wc in
   while !left > 0 && Scm.Wc_buffer.is_empty wc do
-    (* a run stops where the buffer wraps: the pass parity flips there *)
-    let n = Int.min (cap - !erase_pos) (Bytes.length buf / 8) in
-    let n = Int.min !left n in
-    Pmem.load_nt_into v (slot_addr t !erase_pos) buf 0 (8 * n);
+    (* a run stops at the end of its page, and where the buffer wraps:
+       the pass parity flips there *)
+    let a = slot_addr t !erase_pos in
+    let n = (page_size - (a land (page_size - 1))) / 8 in
+    let n = Int.min n (Int.min (cap - !erase_pos) !left) in
+    Pmem.load_nt_into v a buf 0 (8 * n);
     let i = ref 0 in
     while
       !i < n

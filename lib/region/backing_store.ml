@@ -14,7 +14,22 @@ let global_mutations () = !mutations
 
 let index_path t = Filename.concat t.dir "index"
 
-let file_path t inode = Filename.concat t.dir (Printf.sprintf "f%06d" inode)
+let file_name inode = Printf.sprintf "f%06d" inode
+let file_path t inode = Filename.concat t.dir (file_name inode)
+
+(* The inode a directory entry names: "f" and decimal digits, as many
+   as [file_name] wrote (seven from inode 1,000,000 on). *)
+let inode_of_name name =
+  let n = String.length name in
+  let digits = if n > 1 && name.[0] = 'f' then String.sub name 1 (n - 1) else "" in
+  if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits then
+    int_of_string_opt digits
+  else None
+
+let list_inodes t =
+  Sys.readdir t.dir |> Array.to_list
+  |> List.filter_map inode_of_name
+  |> List.sort compare
 
 let save_index t =
   let oc = open_out_bin (index_path t) in
@@ -46,43 +61,53 @@ let load_index t =
         done)
   end
 
+(* The index's count is a floor, not the next inode: an unnamed
+   create does not rewrite the index, so the inodes it handed out since
+   the last rewrite are known only by their files.  An inode is either
+   on disk or below the count the rewrite at its deletion recorded, so
+   the larger of the two never hands one out twice, across a crash
+   too. *)
 let open_dir dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let t = { dir; names = Hashtbl.create 8; next_inode = 1 } in
   load_index t;
+  List.iter
+    (fun inode -> t.next_inode <- max t.next_inode (inode + 1))
+    (list_inodes t);
   t
 
 let create_file t ?name () =
   incr mutations;
   let inode = t.next_inode in
   t.next_inode <- inode + 1;
-  let oc = open_out_bin (file_path t inode) in
-  close_out oc;
-  (match name with Some n -> Hashtbl.replace t.names n inode | None -> ());
-  save_index t;
+  close_out (open_out_bin (file_path t inode));
+  (match name with
+  | Some n ->
+      Hashtbl.replace t.names n inode;
+      save_index t
+  | None -> ());
   inode
 
 let find t name = Hashtbl.find_opt t.names name
 
+(* The index is rewritten before the file goes, so its count is above
+   the inode by the time the directory listing no longer shows it. *)
 let delete_file t inode =
   incr mutations;
-  let p = file_path t inode in
-  if Sys.file_exists p then Sys.remove p;
   let stale =
     Hashtbl.fold (fun n i acc -> if i = inode then n :: acc else acc) t.names []
   in
   List.iter (Hashtbl.remove t.names) stale;
-  save_index t
+  save_index t;
+  let p = file_path t inode in
+  if Sys.file_exists p then Sys.remove p
 
 let file_exists t inode = Sys.file_exists (file_path t inode)
 
-let list_inodes t =
-  Sys.readdir t.dir |> Array.to_list
-  |> List.filter_map (fun name ->
-         if String.length name = 7 && name.[0] = 'f' then
-           int_of_string_opt (String.sub name 1 6)
-         else None)
-  |> List.sort compare
+let file_bytes t inode =
+  match Unix.stat (file_path t inode) with
+  | st -> st.Unix.st_size
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> 0
 
 (* Bytes read into [buf] from [off] until it is full or the file ends. *)
 let rec read_upto fd buf off =

@@ -23,6 +23,8 @@ type t = {
   mutable peek_inode : int;
   mutable peek_off : int;
   peek_buf : Bytes.t;
+  (* One page lent to read-ahead sweeps ({!read_ahead_buf}). *)
+  read_ahead : Bytes.t;
   mutable next_dyn : int;
   default_env : Scm.Env.t;
   mutable remap_ns : int;
@@ -76,6 +78,10 @@ let regions t =
     (fun r ->
       if r.base = Layout.static_base then None else Some (r.base, r.len))
     t.regions
+
+let backing_file t addr =
+  let r = find_region t addr in
+  (Backing_store.file_name r.inode, Backing_store.file_bytes t.backing r.inode)
 
 (* ------------------------------------------------------------------ *)
 (* Address translation                                                 *)
@@ -163,6 +169,7 @@ let nt_frame v addr =
   frame
 
 let load_nt v addr =
+  if addr land 7 <> 0 then invalid_arg "Pmem.load_nt: alignment";
   let frame = nt_frame v addr in
   let within = addr land (Layout.page_size - 1) in
   if frame < 0 then Scm.Word.get v.pmem.peek_buf within
@@ -188,6 +195,8 @@ let load_nt_into v addr buf off len =
         (off + !pos) n;
     pos := !pos + n
   done
+
+let read_ahead_buf v = v.pmem.read_ahead
 
 let store v addr x =
   (match pmchk v with
@@ -322,6 +331,7 @@ let open_instance machine backing =
       peek_inode = -1;
       peek_off = 0;
       peek_buf = Bytes.create Layout.page_size;
+      read_ahead = Bytes.create Layout.page_size;
       next_dyn = Layout.dynamic_base;
       default_env;
       remap_ns = 0;

@@ -57,6 +57,11 @@ val regions : t -> (int * int) list
 
 val region_containing : t -> int -> (int * int) option
 
+val backing_file : t -> int -> string * int
+(** [backing_file t addr]: the name of the backing file of the region
+    holding [addr] and its length in bytes, which stays 0 until a page
+    of the region is first written to it (an eviction or {!close}). *)
+
 (** {2 Region-table introspection}
 
     The on-SCM region table layout, exposed read-only for the offline
@@ -88,7 +93,8 @@ val load_nt : view -> int -> int64
 (** Non-temporal load: coherent but never allocates a cache line and
     never faults a page in — a non-resident page is read from its
     backing file without installing a frame.  For recovery-time sweeps
-    over whole regions (see {!Scm.Primitives.load_nt}). *)
+    over whole regions (see {!Scm.Primitives.load_nt}).  The address
+    must be 8-byte aligned ([Invalid_argument] otherwise). *)
 
 val load_nt_into : view -> int -> Bytes.t -> int -> int -> unit
 (** [load_nt_into v addr buf off len] stores in [buf] at [off] the
@@ -101,6 +107,13 @@ val load_nt_into : view -> int -> Bytes.t -> int -> int -> unit
     machine; otherwise each word of a resident page goes through
     {!Scm.Primitives.load_nt}, so every drain it causes, and with it
     every crash point, falls where it would. *)
+
+val read_ahead_buf : view -> Bytes.t
+(** One page the instance lends to sweeps that read ahead with
+    {!load_nt_into}, such as [Rawl.attach]'s erase sweep.  Every
+    view of the instance shares it: what a sweep reads into it lasts
+    only until the sweep next does something that can let another
+    fiber run (any store, fence or charged load). *)
 
 val store : view -> int -> int64 -> unit
 val wtstore : view -> int -> int64 -> unit

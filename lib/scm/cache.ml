@@ -1,9 +1,11 @@
 (* Array-backed, open-addressed cache: the per-word load/store fast
    path is a handful of array reads with zero allocation.  Lines live
-   in a linear-probing table (power-of-two size >= 2x capacity, so the
-   load factor stays under 1/2) whose entries own [line_size] buffers,
+   in a linear-probing table whose entries own [line_size] buffers,
    each allocated the first time its slot holds a line; deletion is
    backward-shift, so there are no tombstones and probes stay short.
+   The table starts at 16 slots and doubles as resident lines grow, so
+   the load factor stays under 1/2 and a machine costs what its run
+   touches; at capacity it is the power of two >= 2x capacity.
 
    Eviction semantics are pinned: the victim is drawn uniformly from a
    dense insertion-ordered array of resident line addresses
@@ -19,11 +21,13 @@ let line_size = 64
 type t = {
   dev : Scm_device.t;
   capacity : int;
-  mask : int;  (* table size - 1; table size is a power of two *)
-  keys : int array;  (* line base address, or -1 for an empty slot *)
-  data : Bytes.t array;  (* line buffers, one per slot; empty until used *)
-  dirty : bool array;
-  mslot : int array;  (* index of this entry's base in [members] *)
+  mutable mask : int;  (* table size - 1; table size is a power of two *)
+  mutable shift : int;  (* 63 - log2 (table size): see [hash] *)
+  mutable keys : int array;  (* line base address, or -1 for an empty slot *)
+  mutable data : Bytes.t array;
+      (* line buffers, one per slot; empty until used *)
+  mutable dirty : bool array;
+  mutable mslot : int array;  (* index of this entry's base in [members] *)
   rng : Random.State.t;
   obs : Obs.t;
   cp : Crashpoint.t;
@@ -32,8 +36,9 @@ type t = {
       (* durability sanitizer, observing lines that reach the device;
          None (the default) costs one branch per write-back *)
   (* Dense array of resident line addresses for O(1) random victim
-     selection; insertion-ordered, removal swaps the last entry in. *)
-  members : int array;
+     selection; insertion-ordered, removal swaps the last entry in.
+     Half the table's size: it grows with the table. *)
+  mutable members : int array;
   mutable nmembers : int;
   (* Causal attribution: [cur_owner] is the transaction id stamped by
      the access layer before each store; dirtying a line records it in
@@ -41,20 +46,21 @@ type t = {
      transaction that dirtied the line.  Plain int stores — never
      simulated time, rng draws, or allocation. *)
   mutable cur_owner : int;
-  owner : int array;  (* per slot; 0 = unattributed *)
+  mutable owner : int array;  (* per slot; 0 = unattributed *)
 }
 
-let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
+let initial_bits = 4
 
 let create ?(capacity_lines = 8192) ?(seed = 0xcafe) ?obs ?cp dev =
   let obs = match obs with Some o -> o | None -> Obs.create () in
   let cp = match cp with Some c -> c | None -> Crashpoint.create () in
-  let size = next_pow2 (2 * max 8 capacity_lines) 16 in
+  let size = 1 lsl initial_bits in
   let t =
     {
       dev;
       capacity = capacity_lines;
       mask = size - 1;
+      shift = 63 - initial_bits;
       keys = Array.make size (-1);
       data = Array.make size Bytes.empty;
       dirty = Array.make size false;
@@ -64,7 +70,7 @@ let create ?(capacity_lines = 8192) ?(seed = 0xcafe) ?obs ?cp dev =
       cp;
       evict_ctr = Obs.Metrics.counter obs.Obs.metrics "scm.cache.evictions";
       pmcheck = None;
-      members = Array.make (max 16 capacity_lines) (-1);
+      members = Array.make (size / 2) (-1);
       nmembers = 0;
       cur_owner = 0;
       owner = Array.make size 0;
@@ -77,9 +83,12 @@ let create ?(capacity_lines = 8192) ?(seed = 0xcafe) ?obs ?cp dev =
 
 let line_base addr = addr land lnot (line_size - 1)
 
-(* Fibonacci hashing on the line base; any mix works (the table is an
-   implementation detail), it just has to spread consecutive lines. *)
-let[@inline] hash t base = (base * 0x2545F4914F6CDD1D) lsr 1 land t.mask
+(* Fibonacci hashing: the top log2 (size) bits of the line base times
+   an odd constant, so every bit of the line number reaches the slot,
+   in a table of any size and for lines a page apart too.  The table is
+   an implementation detail: no probe order reaches the eviction draw
+   or the members order. *)
+let[@inline] hash t base = (base * 0x2545F4914F6CDD1D) lsr t.shift
 
 (* Slot holding [base], or -1 if not resident. *)
 let[@inline] find_slot t base =
@@ -100,6 +109,45 @@ let[@inline] free_slot t base =
     i := (!i + 1) land mask
   done;
   !i
+
+(* Double the table, moving every resident line with its buffer; the
+   members array keeps its order.  Then each buffer whose line has gone
+   moves to an empty slot, so a growth turns no buffer into garbage. *)
+let grow t =
+  let keys = t.keys and data = t.data and dirty = t.dirty
+  and mslot = t.mslot and owner = t.owner in
+  let size = 2 * Array.length keys in
+  t.mask <- size - 1;
+  t.shift <- t.shift - 1;
+  t.keys <- Array.make size (-1);
+  t.data <- Array.make size Bytes.empty;
+  t.dirty <- Array.make size false;
+  t.mslot <- Array.make size 0;
+  t.owner <- Array.make size 0;
+  Array.iteri
+    (fun i base ->
+      if base <> -1 then begin
+        let j = free_slot t base in
+        t.keys.(j) <- base;
+        t.data.(j) <- data.(i);
+        t.dirty.(j) <- dirty.(i);
+        t.mslot.(j) <- mslot.(i);
+        t.owner.(j) <- owner.(i)
+      end)
+    keys;
+  let j = ref 0 in
+  Array.iteri
+    (fun i base ->
+      if base = -1 && Bytes.length data.(i) > 0 then begin
+        while t.keys.(!j) <> -1 || Bytes.length t.data.(!j) > 0 do
+          incr j
+        done;
+        t.data.(!j) <- data.(i)
+      end)
+    keys;
+  let members = Array.make (size / 2) (-1) in
+  Array.blit t.members 0 members 0 t.nmembers;
+  t.members <- members
 
 let member_add t base slot =
   t.members.(t.nmembers) <- base;
@@ -184,6 +232,7 @@ let get_line t base =
   if slot >= 0 then slot
   else begin
     if t.nmembers >= t.capacity then evict_one t;
+    if 2 * (t.nmembers + 1) > Array.length t.keys then grow t;
     let slot = free_slot t base in
     t.keys.(slot) <- base;
     t.dirty.(slot) <- false;

@@ -24,7 +24,9 @@ val create :
   t
 (** [create dev] makes a cache over [dev].  [capacity_lines] bounds the
     number of resident lines (default 8192 = 512 KiB); exceeding it
-    evicts a pseudo-random victim, writing it back if dirty.  Evictions
+    evicts a pseudo-random victim, writing it back if dirty.  The
+    memory it takes grows with the lines it holds, not with its
+    capacity.  Evictions
     feed [obs] (counter [scm.cache.evictions] plus a [Cache_evict]
     trace event when tracing).  Every dirty-line write-back (flush,
     eviction, or forced) ticks [cp] (default: a private disarmed

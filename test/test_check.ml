@@ -326,6 +326,84 @@ let test_fsck_phashtable_bucket_count () =
         (Int64.logor (Int64.shift_left Pstruct.Phashtable.magic 56) 24L);
       check_finds (fsck inst) Check.Pmfsck.Pstruct)
 
+(* pmfsck follows a pointer read from the image only if it is 8-byte
+   aligned.  One set 4 bytes into its node, still inside the node's
+   block, is a pstruct finding at the pointer's value; before, the walk
+   read the words straddling it. *)
+let check_unaligned_finding r ~addr ~detail =
+  if
+    not
+      (List.exists
+         (fun f ->
+           f.Check.Pmfsck.kind = Check.Pmfsck.Pstruct
+           && f.addr = addr && f.detail = detail)
+         r.Check.Pmfsck.findings)
+  then
+    Alcotest.failf "expected pstruct %S at %#x, got:\n%s" detail addr
+      (Check.Pmfsck.render r)
+
+let test_fsck_unaligned_hash_chain_node () =
+  with_tmpdir (fun dir ->
+      let inst = Mnemosyne.open_instance ~dir () in
+      let slot = Mnemosyne.pstatic inst "chk.ht" 8 in
+      Mnemosyne.atomically inst (fun tx ->
+          let h = Pstruct.Phashtable.create tx ~slot ~buckets:16 in
+          Pstruct.Phashtable.put tx h (b "alpha") (b "1"));
+      check_clean "pre-corruption image" (fsck inst);
+      let v = Mnemosyne.view inst in
+      let ldi a = Int64.to_int (Pmem.load_nt v a) in
+      let arr = ldi (ldi slot + 8) in
+      let bucket =
+        List.find (fun b -> ldi (arr + (8 * b)) <> 0) (List.init 16 Fun.id)
+      in
+      let node = ldi (arr + (8 * bucket)) in
+      corrupt v (arr + (8 * bucket)) (Int64.of_int (node + 4));
+      let r = fsck inst in
+      check_unaligned_finding r ~addr:(node + 4)
+        ~detail:
+          (Printf.sprintf "hash table bucket %d: chain node address unaligned"
+             bucket);
+      Alcotest.(check int) "the only finding" 1
+        (List.length r.Check.Pmfsck.findings))
+
+let test_fsck_unaligned_bptree_child () =
+  with_tmpdir (fun dir ->
+      let inst = Mnemosyne.open_instance ~dir () in
+      let slot = Mnemosyne.pstatic inst "chk.bp" 8 in
+      Mnemosyne.atomically inst (fun tx ->
+          let t = Pstruct.Bp_tree.create tx ~slot in
+          for k = 1 to 40 do
+            Pstruct.Bp_tree.put tx t (Int64.of_int k) (b "v")
+          done);
+      check_clean "pre-corruption image" (fsck inst);
+      let v = Mnemosyne.view inst in
+      let ldi a = Int64.to_int (Pmem.load_nt v a) in
+      let top = ldi (ldi slot + 16) in
+      Alcotest.(check int) "the root is an internal node" 0
+        (ldi (Pstruct.Bp_tree.f_kind top));
+      let child = ldi (Pstruct.Bp_tree.int_child top 0) in
+      corrupt v (Pstruct.Bp_tree.int_child top 0) (Int64.of_int (child + 4));
+      check_unaligned_finding (fsck inst) ~addr:(child + 4)
+        ~detail:"B+ tree: node address unaligned")
+
+(* The same holds for the roots pmfsck starts from: a heap base, a log
+   base and a pstatic data address set 4 bytes off are findings of
+   their own kinds, not reads that raise. *)
+let test_fsck_unaligned_roots () =
+  with_tmpdir (fun dir ->
+      let inst = Mnemosyne.open_instance ~dir () in
+      ignore (seed_block inst "chk.root");
+      check_clean "pre-corruption image" (fsck inst);
+      let v = Mnemosyne.view inst in
+      let nudge a = corrupt v a (Int64.add (Pmem.load_nt v a) 4L) in
+      nudge (Mnemosyne.pstatic inst "mnemosyne.heap" 8);
+      nudge (Mnemosyne.pstatic inst "mtm.log.00" 8);
+      Region.Pstatic.iter v (fun e ->
+          if e.name = Ok "chk.root" then nudge (e.entry_addr + 48));
+      let r = fsck inst in
+      List.iter (check_finds r)
+        Check.Pmfsck.[ Heap_bitmap; Log_header; Region_table ])
+
 (* A directory entry whose name length no [Pstatic.get] could have
    stored: the enumeration hands the length back instead of reading a
    name, and pmfsck reports it at the entry. *)
@@ -818,6 +896,11 @@ let () =
             test_fsck_log_head_out_of_range;
           Alcotest.test_case "hash table bucket count" `Quick
             test_fsck_phashtable_bucket_count;
+          Alcotest.test_case "unaligned hash-chain node" `Quick
+            test_fsck_unaligned_hash_chain_node;
+          Alcotest.test_case "unaligned B+ tree child" `Quick
+            test_fsck_unaligned_bptree_child;
+          Alcotest.test_case "unaligned roots" `Quick test_fsck_unaligned_roots;
           Alcotest.test_case "clean image, zero mutations" `Quick
             test_fsck_clean_and_readonly;
           Alcotest.test_case "implausible pstatic name length" `Quick

@@ -101,6 +101,36 @@ let test_default_command_back_compat () =
       Alcotest.(check bool) "inspection ran" true
         (contains "Mnemosyne instance" out && contains "pstatic" out))
 
+(* The inspection names each region's backing file and its length:
+   "none" on an image nothing was ever written back from, bytes once a
+   clean shutdown has written the pages. *)
+let test_inspect_names_backing_files () =
+  with_tmpdir (fun dir ->
+      let inst = Mnemosyne.open_instance ~dir () in
+      let pmem = Mnemosyne.pmem inst in
+      let files =
+        List.map
+          (fun (addr, _) -> fst (Region.Pmem.backing_file pmem addr))
+          (Region.Pmem.regions pmem)
+      in
+      (* a crash saves the image and writes no backing file *)
+      ignore (Mnemosyne.reincarnate inst);
+      Alcotest.(check bool) "a heap and logs" true (List.length files > 1);
+      Alcotest.(check string) "the heap's file" "f000002" (List.hd files);
+      let code, out = run_cli [ dir ] in
+      Alcotest.(check int) "inspect exits 0" 0 code;
+      List.iter
+        (fun file ->
+          Alcotest.(check bool) (file ^ " listed, empty") true
+            (contains (Printf.sprintf "file %s: none" file) out))
+        files;
+      (* the inspection closed the instance, writing its pages back *)
+      let code, out = run_cli [ dir ] in
+      Alcotest.(check int) "second inspect exits 0" 0 code;
+      Alcotest.(check bool) "the heap's file holds pages" true
+        (contains "file f000002: " out
+        && not (contains "file f000002: none" out)))
+
 (* Tenant root names are read from the image, so `stats --json` must
    escape them: a quote in a pstatic name cannot end the string early. *)
 let test_stats_json_escapes_root_names () =
@@ -282,6 +312,8 @@ let () =
         [
           Alcotest.test_case "json flag is per-subcommand" `Quick
             test_json_flag_is_per_subcommand;
+          Alcotest.test_case "inspect names backing files" `Quick
+            test_inspect_names_backing_files;
           Alcotest.test_case "default command back-compat" `Quick
             test_default_command_back_compat;
           Alcotest.test_case "stats json escapes root names" `Quick

@@ -610,14 +610,16 @@ let test_rawl_recovery_crash_idempotent () =
       done;
       Alcotest.(check bool) "crash points were explored" true (!explored > 0))
 
-(* The erase sweep reads ahead until its first filler; the result must
-   be what the word-by-word sweep produces.  A 2,048-word log holds two
-   flushed records of 27 stored words, then stale current-parity words
-   are planted in its free region: at the first free word, mid-page
-   after clean words, in two adjacent words of one line (the second is
-   read right after the first's filler is posted, which drains the
-   buffer), and past the log's first page boundary (position 504);
-   each alone and all four together.  In a second layout a 1,931-word
+(* The erase sweep reads ahead a page at a time until its first
+   filler; the result must be what the word-by-word sweep produces.  A
+   2,048-word log holds two flushed records of 27 stored words, then
+   stale current-parity words are planted in its free region: at the
+   first free word, mid-page after clean words, past word 64 of the
+   first run, in two adjacent words of one line (the second is read right after the first's filler is
+   posted, which drains the buffer), in the last word of the first run,
+   which ends at the log's first page boundary (position 504), in the
+   first word of the next run, and past that boundary; each alone and
+   all together.  In a second layout a 1,931-word
    record was appended and truncated first, so the free region runs
    from position 1959 to the end of the buffer and on from position 0
    in the next pass, whose parity is the other: stale words are
@@ -628,7 +630,10 @@ let test_rawl_recovery_crash_idempotent () =
    and tick the same crash points, with the log's pages resident and
    with them only in the backing file, and with the write-combining
    buffer empty at the start and holding a store into the free region
-   (position 150), which one of the sweep's loads drains. *)
+   (position 150), which one of the sweep's loads drains.  Last, two
+   fibers attach two logs of one instance at once, so their sweeps
+   share the instance's read-ahead page: each filler one posts lets the
+   other run and read ahead into the page. *)
 let test_rawl_erase_read_ahead_matches_wordwise () =
   let cap = 2048 in
   let r1 = [| 1L; 2L; 3L |] and r2 = Array.make 20 7L in
@@ -666,11 +671,14 @@ let test_rawl_erase_read_ahead_matches_wordwise () =
   in
   let places =
     [ ("first free word", [ 27 ]); ("mid-page", [ 100 ]);
+      ("past word 64 of a run", [ 27 + 65 ]);
       ("after a filler in its line", [ 200; 201 ]);
+      ("a run's last word, at a page boundary", [ 503 ]);
+      ("the next run's first word", [ 504 ]);
       ("past a page boundary", [ 600 ]) ]
   in
   let layouts =
-    [ (false, places @ [ ("all four", List.concat_map snd places) ]);
+    [ (false, places @ [ ("all together", List.concat_map snd places) ]);
       ( true,
         [ ("past the wrap", [ 100 ]);
           ("both sides of the wrap", [ 2000; 100 ]) ] ) ]
@@ -764,7 +772,92 @@ let test_rawl_erase_read_ahead_matches_wordwise () =
                 (if parity ~wrapped pos = 1 then 0L else Int64.min_int)
                 (List.nth words pos))
             stale))
-    cases
+    cases;
+  let stale_of = [ [ 100; 600 ]; [ 27 + 65; 504 ] ] in
+  List.iter
+    (fun resident ->
+      with_tmpdir (fun dir ->
+          let m, v = stack dir in
+          let bases =
+            List.map
+              (fun stale ->
+                let base, log = make_log v ~cap_words:cap in
+                List.iter (fun r -> ignore (Pmlog.Rawl.append log r)) [ r1; r2 ];
+                Pmlog.Rawl.flush log;
+                List.iter
+                  (fun pos ->
+                    Region.Pmem.wtstore v (slot ~base pos)
+                      (Int64.logor 0x5aL Int64.min_int))
+                  stale;
+                Region.Pmem.fence v;
+                base)
+              stale_of
+          in
+          let dev0 =
+            if resident then begin
+              Scm.Crash.inject m;
+              m.Scm.Env.dev
+            end
+            else begin
+              Region.Pmem.close v;
+              Scm.Scm_device.create ~nframes:256 ()
+            end
+          in
+          let recover sweep =
+            let m' = Scm.Env.machine_of_device (Scm.Scm_device.copy dev0) in
+            let t =
+              Region.Pmem.open_instance m' (Region.Backing_store.open_dir dir)
+            in
+            let sim = Sim.create () in
+            let results = Array.make 2 [] in
+            List.iteri
+              (fun i base ->
+                Sim.spawn sim (fun () ->
+                    let env =
+                      Scm.Env.view m' ~delay:(Sim.delay sim)
+                        ~now:(fun () -> Sim.now sim)
+                    in
+                    results.(i) <- sweep (Region.Pmem.view t env) ~base))
+              bases;
+            let c0 = Scm.Crashpoint.count m'.crash_point in
+            Sim.run sim;
+            let v' = Region.Pmem.default_view t in
+            ( results,
+              Scm.Crashpoint.count m'.crash_point - c0,
+              List.map
+                (fun base ->
+                  List.init cap (fun pos ->
+                      Region.Pmem.load_nt v' (slot ~base pos)))
+                bases )
+          in
+          let label what =
+            Printf.sprintf "two fibers (%s): %s"
+              (if resident then "resident" else "backing file")
+              what
+          in
+          let records, ticks, words =
+            recover (fun v' ~base -> snd (Pmlog.Rawl.attach v' ~base))
+          in
+          let _, ticks', words' =
+            recover (fun v' ~base ->
+                reference v' ~base ~wrapped:false;
+                [])
+          in
+          Array.iter
+            (Alcotest.check record_list (label "records") [ r1; r2 ])
+            records;
+          Alcotest.(check int) (label "crash points") ticks' ticks;
+          Alcotest.(check (list (list int64))) (label "log words") words' words;
+          List.iter2
+            (fun stale words ->
+              List.iter
+                (fun pos ->
+                  Alcotest.(check int64)
+                    (label (Printf.sprintf "filler at %d" pos))
+                    0L (List.nth words pos))
+                stale)
+            stale_of words))
+    [ true; false ]
 
 (* Attaching a clean 2,048-word log allocates a bounded number of minor
    words, not a few per word of its free region. *)

@@ -526,6 +526,110 @@ let test_pstatic_many_variables () =
           Alcotest.(check int) "len" 8 e.len);
       Alcotest.(check int) "iter sees all" 20 !count)
 
+(* An unaligned non-temporal load is an error wherever the word lives:
+   in a cached line (where 8 unaligned bytes used to come back, or an
+   out-of-bounds read 4 bytes before the line's end), in a line only
+   the device holds (the aligned-down word), and in a page that is not
+   resident (bytes from the backing-file copy). *)
+let test_load_nt_rejects_unaligned () =
+  with_tmpdir (fun dir ->
+      let m = machine () in
+      let backing = Region.Backing_store.open_dir dir in
+      let t = Region.Pmem.open_instance m backing in
+      let v = Region.Pmem.default_view t in
+      let r = Region.Pmem.pmap v (3 * 4096) in
+      Region.Pmem.store v r 0x1111L;
+      Region.Pmem.wtstore v (r + 4096) 0x2222L;
+      Region.Pmem.fence v;
+      let unaligned = Invalid_argument "Pmem.load_nt: alignment" in
+      List.iter
+        (fun (what, a) ->
+          Alcotest.check_raises what unaligned (fun () ->
+              ignore (Region.Pmem.load_nt v a)))
+        [ ("cached line", r + 4); ("past a cached line's end", r + 60);
+          ("device-only line", r + 4096 + 4); ("non-resident page", r + 8196) ];
+      Alcotest.(check (list int64))
+        "aligned loads still read" [ 0x1111L; 0x2222L; 0L ]
+        (List.map (Region.Pmem.load_nt v) [ r; r + 4096; r + 8192 ]))
+
+let touch path = close_out (open_out_bin path)
+
+let index_bytes dir =
+  In_channel.with_open_bin (Filename.concat dir "index") In_channel.input_all
+
+(* The inode count the index records: its first word. *)
+let index_count dir = Int32.to_int (String.get_int32_be (index_bytes dir) 0)
+
+(* The index is rewritten when a name comes or goes, not per create:
+   an unnamed create leaves its bytes as they were, while a named
+   create and a delete rewrite it, the delete with a count above the
+   inode it removed. *)
+let test_backing_index_written_per_name () =
+  with_tmpdir (fun dir ->
+      let b = Region.Backing_store.open_dir dir in
+      ignore (Region.Backing_store.create_file b ~name:"static" ());
+      let named = index_bytes dir in
+      let i = Region.Backing_store.create_file b () in
+      let j = Region.Backing_store.create_file b () in
+      Alcotest.(check bool) "files created" true
+        (Region.Backing_store.file_exists b i
+        && Region.Backing_store.file_exists b j);
+      Alcotest.(check string) "unnamed creates leave the index" named
+        (index_bytes dir);
+      Region.Backing_store.delete_file b j;
+      Alcotest.(check bool) "delete removes the file" false
+        (Region.Backing_store.file_exists b j);
+      Alcotest.(check bool) "delete records a count above the inode" true
+        (index_count dir > j);
+      let deleted = index_bytes dir in
+      ignore (Region.Backing_store.create_file b ~name:"other" ());
+      Alcotest.(check bool) "named create rewrites the index" true
+        (index_bytes dir <> deleted);
+      Alcotest.(check (option int)) "name found after reopening"
+        (Region.Backing_store.find b "other")
+        (Region.Backing_store.find (Region.Backing_store.open_dir dir) "other"))
+
+(* A handle dropped without [sync] (a crash) leaves the index's count
+   behind the inodes it handed out since the last rewrite; reopening
+   must still hand out a fresh one, above every file on disk and every
+   file deleted before the crash. *)
+let test_backing_inodes_unique_across_crash () =
+  with_tmpdir (fun dir ->
+      let b = Region.Backing_store.open_dir dir in
+      ignore (Region.Backing_store.create_file b ~name:"static" ());
+      let made = List.init 5 (fun _ -> Region.Backing_store.create_file b ()) in
+      let b' = Region.Backing_store.open_dir dir in
+      let next = Region.Backing_store.create_file b' () in
+      Alcotest.(check bool) "above all created" true
+        (List.for_all (fun i -> next > i) made);
+      (* the two newest go, with no sync before the next crash *)
+      Region.Backing_store.delete_file b' next;
+      Region.Backing_store.delete_file b' (List.nth made 4);
+      let b'' = Region.Backing_store.open_dir dir in
+      let again = Region.Backing_store.create_file b'' () in
+      Alcotest.(check bool) "a deleted inode is not reused" true (again > next);
+      let static = Option.get (Region.Backing_store.find b'' "static") in
+      Alcotest.(check (list int)) "files on disk"
+        ((static :: List.filteri (fun k _ -> k < 4) made) @ [ again ])
+        (Region.Backing_store.list_inodes b''))
+
+(* [file_name] writes at least six digits, so inode 1,000,000 is
+   "f1000000": the listing and the floor must see it. *)
+let test_backing_lists_long_names () =
+  with_tmpdir (fun dir ->
+      List.iter
+        (fun n -> touch (Filename.concat dir n))
+        [ "f1000000"; "f"; "fx1"; "f12a"; "g000003" ];
+      let b = Region.Backing_store.open_dir dir in
+      Alcotest.(check (list int)) "listed" [ 1_000_000 ]
+        (Region.Backing_store.list_inodes b);
+      let i = Region.Backing_store.create_file b () in
+      Alcotest.(check int) "next inode" 1_000_001 i;
+      Alcotest.(check bool) "its file" true
+        (Sys.file_exists (Filename.concat dir "f1000001"));
+      Alcotest.(check (list int)) "both listed" [ 1_000_000; 1_000_001 ]
+        (Region.Backing_store.list_inodes b))
+
 let test_error_paths () =
   with_tmpdir (fun dir ->
       let m = machine () in
@@ -761,7 +865,21 @@ let () =
           Alcotest.test_case "many variables" `Quick
             test_pstatic_many_variables;
         ] );
-      ("errors", [ Alcotest.test_case "error paths" `Quick test_error_paths ]);
+      ( "backing-store",
+        [
+          Alcotest.test_case "index written per name" `Quick
+            test_backing_index_written_per_name;
+          Alcotest.test_case "inodes unique across a crash" `Quick
+            test_backing_inodes_unique_across_crash;
+          Alcotest.test_case "lists names past six digits" `Quick
+            test_backing_lists_long_names;
+        ] );
+      ( "errors",
+        [
+          Alcotest.test_case "error paths" `Quick test_error_paths;
+          Alcotest.test_case "load_nt rejects an unaligned address" `Quick
+            test_load_nt_rejects_unaligned;
+        ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_pmem_wordwise_model;

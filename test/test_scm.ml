@@ -669,6 +669,208 @@ let test_cache_eviction_sequence_matches_model () =
   Alcotest.(check (list int))
     "victim sequence matches the reference model" (List.rev !expected) actual
 
+(* A default cache holding one line costs a 16-slot table and the
+   line: a table allocated at its full 16,384 slots cost 704 KiB. *)
+let test_cache_first_touch_budget () =
+  let dev = Scm_device.create ~nframes:16384 () in
+  let obs = Obs.create () in
+  let grown =
+    major_growth (fun () ->
+        let c = Cache.create ~obs dev in
+        Cache.write_word c 0 1L;
+        c)
+  in
+  if grown > 16 * 1024 then
+    Alcotest.failf "a default cache holding one line grew the heap by %d B"
+      grown
+
+(* ------------------------------------------------------------------ *)
+(* The growing table against the cache's semantics *)
+
+type cache_op =
+  | C_load of int  (** address *)
+  | C_store of int * int64
+  | C_flush of int
+  | C_wt_invalidate of int
+  | C_drop_all
+
+let show_cache_op = function
+  | C_load a -> Printf.sprintf "load %#x" a
+  | C_store (a, v) -> Printf.sprintf "store %#x %Ld" a v
+  | C_flush a -> Printf.sprintf "flush %#x" a
+  | C_wt_invalidate a -> Printf.sprintf "wt_invalidate %#x" a
+  | C_drop_all -> "drop_all"
+
+(* The cache with no table at all, as a fixed-size table behaves:
+   resident lines in a [Hashtbl], the insertion-ordered members array
+   with swap-remove, an identically seeded rng drawn only for a victim,
+   a flat device, and a count of write-backs (the crash-point ticks). *)
+type cache_model = {
+  cap : int;
+  lines : (int, Bytes.t * bool ref) Hashtbl.t;  (* base -> data, dirty *)
+  members : int array;
+  mpos : (int, int) Hashtbl.t;  (* base -> index in [members] *)
+  mutable n : int;
+  rng : Random.State.t;
+  mdev : Bytes.t;
+  mutable ticks : int;
+  mutable victims : int list;  (* newest first *)
+}
+
+let model_write_back md base =
+  let data, dirty = Hashtbl.find md.lines base in
+  if !dirty then begin
+    Bytes.blit data 0 md.mdev base 64;
+    dirty := false;
+    md.ticks <- md.ticks + 1
+  end
+
+let model_remove md base =
+  let i = Hashtbl.find md.mpos base and last = md.n - 1 in
+  let moved = md.members.(last) in
+  md.members.(i) <- moved;
+  Hashtbl.replace md.mpos moved i;
+  Hashtbl.remove md.mpos base;
+  Hashtbl.remove md.lines base;
+  md.n <- last
+
+let model_line md base =
+  match Hashtbl.find_opt md.lines base with
+  | Some line -> line
+  | None ->
+      if md.n >= md.cap then begin
+        let victim = md.members.(Random.State.int md.rng md.n) in
+        md.victims <- victim :: md.victims;
+        model_write_back md victim;
+        model_remove md victim
+      end;
+      let line = (Bytes.sub md.mdev base 64, ref false) in
+      Hashtbl.replace md.lines base line;
+      md.members.(md.n) <- base;
+      Hashtbl.replace md.mpos base md.n;
+      md.n <- md.n + 1;
+      line
+
+(* Pool line [l] sits at an odd stride through a 1 MiB device, so
+   lines a page apart and more share the table. *)
+let pool_base l = (l * 61) land 16383 * 64
+
+let gen_cache_case =
+  let open QCheck.Gen in
+  oneof [ int_range 8 64; int_range 65 1024; int_range 1025 8192 ]
+  >>= fun cap ->
+  int_range 1 (min 4096 (2 * cap)) >>= fun nlines ->
+  let addr = map2 (fun l w -> pool_base l + (8 * w)) (int_bound (nlines - 1)) (int_bound 7) in
+  let ops =
+    list_size (int_range 1 2000)
+      (frequency
+         [
+           (40, map (fun a -> C_load a) addr);
+           (40, map2 (fun a v -> C_store (a, v)) addr ui64);
+           (8, map (fun a -> C_flush a) addr);
+           (8, map (fun a -> C_wt_invalidate a) addr);
+           (1, return C_drop_all);
+         ])
+  in
+  quad (return cap) (return nlines) nat ops
+
+let prop_growing_cache_matches_fixed_table =
+  QCheck.Test.make ~name:"growing cache table matches a fixed-size one"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (cap, nlines, seed, ops) ->
+         Printf.sprintf "capacity %d, %d lines, seed %d: %s" cap nlines seed
+           (String.concat "; " (List.map show_cache_op ops)))
+       gen_cache_case)
+    (fun (cap, nlines, seed, ops) ->
+      let obs = Obs.create ~tracing:true () in
+      let cp = Crashpoint.create () in
+      let dev = Scm_device.create ~nframes:256 () in
+      let c = Cache.create ~capacity_lines:cap ~seed ~obs ~cp dev in
+      let md =
+        {
+          cap;
+          lines = Hashtbl.create 64;
+          members = Array.make cap (-1);
+          mpos = Hashtbl.create 64;
+          n = 0;
+          rng = Random.State.make [| seed |];
+          mdev = Bytes.make (256 * 4096) '\000';
+          ticks = 0;
+          victims = [];
+        }
+      in
+      let step = function
+        | C_load a ->
+            let data, _ = model_line md (Cache.line_base a) in
+            Cache.read_word c a = Bytes.get_int64_le data (a land 63)
+        | C_store (a, v) ->
+            Cache.write_word c a v;
+            let data, dirty = model_line md (Cache.line_base a) in
+            Bytes.set_int64_le data (a land 63) v;
+            dirty := true;
+            true
+        | C_flush a ->
+            let base = Cache.line_base a in
+            let expected =
+              match Hashtbl.find_opt md.lines base with
+              | None -> false
+              | Some (_, dirty) ->
+                  let was = !dirty in
+                  model_write_back md base;
+                  model_remove md base;
+                  was
+            in
+            Cache.flush_line c a = expected
+        | C_wt_invalidate a ->
+            Cache.wt_invalidate c a;
+            let base = Cache.line_base a in
+            if Hashtbl.mem md.lines base then begin
+              model_write_back md base;
+              model_remove md base
+            end;
+            true
+        | C_drop_all ->
+            Cache.drop_all c;
+            Hashtbl.reset md.lines;
+            Hashtbl.reset md.mpos;
+            md.n <- 0;
+            true
+      in
+      let steps_agree = List.for_all step ops in
+      let victims =
+        List.filter_map
+          (fun (e : Obs.Flight.entry) ->
+            if e.code = Obs.Trace.(kind_code Cache_evict) then Some e.arg
+            else None)
+          (Obs.Flight.traced obs.Obs.flight)
+      in
+      let model_dirty =
+        Hashtbl.fold (fun base (_, d) acc -> if !d then base :: acc else acc)
+          md.lines []
+        |> List.sort compare
+      in
+      let words_agree = ref true in
+      for l = 0 to nlines - 1 do
+        for w = 0 to 7 do
+          let a = pool_base l + (8 * w) in
+          let seen =
+            match Hashtbl.find_opt md.lines (pool_base l) with
+            | Some (data, _) -> Bytes.get_int64_le data (8 * w)
+            | None -> Bytes.get_int64_le md.mdev a
+          in
+          if
+            Cache.peek_word c a <> seen
+            || Scm_device.load64 dev a <> Bytes.get_int64_le md.mdev a
+          then words_agree := false
+        done
+      done;
+      steps_agree
+      && victims = List.rev md.victims
+      && Crashpoint.count cp = md.ticks
+      && Cache.dirty_lines c = model_dirty
+      && !words_agree)
+
 (* ------------------------------------------------------------------ *)
 (* Device undo journal *)
 
@@ -828,6 +1030,8 @@ let () =
             test_cache_byte_range_spanning_lines;
           Alcotest.test_case "dirty lines listing" `Quick
             test_cache_dirty_lines_listing;
+          Alcotest.test_case "cache first-touch budget" `Quick
+            test_cache_first_touch_budget;
           Alcotest.test_case "eviction sequence matches reference model"
             `Quick test_cache_eviction_sequence_matches_model;
         ] );
@@ -883,6 +1087,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_cache_coherence;
+          QCheck_alcotest.to_alcotest prop_growing_cache_matches_fixed_table;
           QCheck_alcotest.to_alcotest prop_crash_word_atomicity;
         ] );
     ]
