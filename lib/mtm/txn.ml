@@ -68,13 +68,6 @@ exception Abort_internal
 (* Attempts before [run] gives up and raises [Contention]. *)
 let max_attempts = 64
 
-(* A commit whose log span is awaiting asynchronous truncation; the
-   daemon only needs the record's span and its write addresses (sorted
-   ascending) to flush lines and advance the head.  The owning
-   transaction id rides along so the deferred work can close the
-   commit's causal flow in the trace. *)
-type pending = { span : int; addrs : int array; txid : int }
-
 type pool = {
   pmem : Region.Pmem.t;
   heap : Pmheap.Heap.t option;
@@ -117,6 +110,8 @@ type pool = {
      wakes only the daemon responsible for that thread. *)
   mutable threads : thread list;
   mutable drain_wake : (int -> unit) option;
+  mutable batches : Pending.batch list;
+      (* claim buffers no retirement holds ({!retire}) *)
   (* Contention manager: the priority stamp each thread slot publishes
      while a transaction runs there (its txid; [max_int] when idle —
      stable across retries, so a long-retrying transaction ages into
@@ -141,7 +136,12 @@ and thread = {
   pool : pool;
   view : Pmem.view;
   log : Pmlog.Rawl.t;
-  pending_q : pending Queue.t;
+  pending : Pending.t;
+      (* commits whose log span awaits retirement: the record's span
+         and its write addresses (sorted ascending) are all the
+         retirement needs to flush lines and advance the head; the
+         owning transaction id rides along so the deferred work can
+         close the commit's causal flow in the trace *)
   rng : Random.State.t;
   lease : Timestamp.lease;  (* thread-private block of cts values *)
   mutable gc_done : bool;  (* this thread's record fenced by a leader *)
@@ -174,7 +174,7 @@ and thread = {
          [draining] *)
   mutable race_pushes : int;
       (* detector bookkeeping: descriptors pushed/popped through
-         [pending_q], numbering the per-item plain-access labels so
+         [pending], numbering the per-item plain-access labels so
          each delivered descriptor is its own checked location *)
   mutable race_pops : int;
   mutable last_conflict_addr : int;
@@ -328,6 +328,7 @@ let create_pool ?(config = default_config) pmem heap =
       gc_leading = false;
       threads = [];
       drain_wake = None;
+      batches = [];
       cm_stamps = Array.make config.nthreads max_int;
       lock_waiters = Hashtbl.create 16;
       abort_lines = Hashtbl.create 64;
@@ -444,7 +445,7 @@ let thread pool i env =
     pool;
     view;
     log;
-    pending_q = Queue.create ();
+    pending = Pending.create ();
     rng = Random.State.make [| 0x7a11; i |];
     lease = Timestamp.lease_create ();
     gc_done = false;
@@ -495,12 +496,13 @@ let set_race pool h =
 (* ---------------------------------------------------------------- *)
 (* Race-detector annotations (DESIGN.md section 18).
 
-   Classification: [pending_q] is an mpsc channel (push = release,
-   pop = acquire) and every descriptor delivered through it is its own
-   plain checked location — the channel edge is exactly what makes the
-   descriptor handoff race-free, so a broken wake/drain protocol shows
-   up as a read/write race on the descriptor.  [draining], [gc_done],
-   [gc_leading] and the waiter list are single-word flags
+   Classification: [pending] is an mpsc channel labelled [pending_q]
+   (push = release, pop = acquire) and every descriptor delivered
+   through it is its own plain checked location — the channel edge is
+   exactly what makes the descriptor handoff race-free, so a broken
+   wake/drain protocol shows up as a read/write race on the
+   descriptor.  [draining], [gc_done], [gc_leading] and the waiter
+   list are single-word flags
    (test-and-set = rmw, clear = release, read = acquire); [cm_stamps]
    slots are publish/observe words (release/acquire); [abort_lines]
    and [next_txid] are shared rmw words.  Each helper is one branch
@@ -526,7 +528,7 @@ let[@inline] race_q_pop th =
       h.Race_api.read (Printf.sprintf "mtm.th.%d.pending.%d" th.id k)
 
 let[@inline] race_q_probe th =
-  (* Queue.length / Queue.is_empty: reads the channel's state word. *)
+  (* Pending.length / Pending.is_empty: reads the channel's state word. *)
   match th.pool.race with
   | None -> ()
   | Some h ->
@@ -950,7 +952,7 @@ let flush_sorted_lines view (addrs : int array) n =
   done;
   Pmem.fence view
 
-let pending_truncations th = Queue.length th.pending_q
+let pending_truncations th = Pending.length th.pending
 
 (* Volatile occupancy probe for admission control: how full this
    thread's RAWL is right now.  Reads only the DRAM-side cursors, so an
@@ -981,76 +983,92 @@ let charge_log_read (dview : Pmem.view) ~nwrites =
    line per record and only recovery ever re-reads the log. *)
 type read_cost = Log_reread | Descriptor
 
+(* Claim up to [limit] of [th]'s queued records into [recs], unless its
+   queue is empty or another retirement holds it: [(th, first, last)]
+   on [acc], the claimed records being [first .. last - 1] of [recs]. *)
+let claim recs ~limit acc th =
+  race_on th.pool acq draining_label th;
+  race_q_probe th;
+  if th.draining || Pending.is_empty th.pending then acc
+  else begin
+    race_on th.pool rmw draining_label th;
+    th.draining <- true;
+    let first = Pending.records recs in
+    for _ = 1 to Pending.take th.pending ~limit recs do
+      race_q_pop th
+    done;
+    notify_drain th;
+    (th, first, Pending.records recs) :: acc
+  end
+
 (* Retire up to [limit] queued records (oldest first) of every thread in
    [ths] whose queue no other retirement has claimed.  Claim each queue
-   with [draining] and pop it in one yield-free step (producers pushing
-   while the pass's memory traffic is charged land in the next pass, and
-   an inline drain sees a queue either whole or empty, never half),
-   charge the reads to [view]'s fiber, flush the union of the records'
-   data lines under one fence, advance every touched log's head under
-   one more combined fence ({!Pmlog.Rawl.advance_head_group}), then end
-   each retired commit's causal flow and release the claims.  A
-   thread's waiters are notified when its queue is popped and again
-   when its claim is released.  False when nothing was retired. *)
-let retire ?(limit = max_int) ~cost (view : Pmem.view) ths =
-  let claim acc th =
-    race_on th.pool acq draining_label th;
-    race_q_probe th;
-    if th.draining || Queue.is_empty th.pending_q then acc
-    else begin
-      race_on th.pool rmw draining_label th;
-      th.draining <- true;
-      let rec take n =
-        if n = 0 || Queue.is_empty th.pending_q then []
-        else begin
-          race_q_pop th;
-          let p = Queue.pop th.pending_q in
-          p :: take (n - 1)
-        end
-      in
-      let ps = take limit in
-      notify_drain th;
-      (th, ps) :: acc
-    end
+   with [draining] and copy its records out of the ring in one
+   yield-free step (producers pushing while the pass's memory traffic
+   is charged land in the next pass, and an inline drain sees a queue
+   either whole or empty, never half), charge the reads to [view]'s
+   fiber, flush the union of the records' data lines under one fence,
+   advance every touched log's head under one more combined fence
+   ({!Pmlog.Rawl.advance_head_group}), then end each retired commit's
+   causal flow and release the claims.  A thread's waiters are notified
+   when its queue is popped and again when its claim is released.
+   The claim buffer outlives the retirement on the pool's free list:
+   a retirement holds its own across the yields of its write-back, so
+   retirements in flight at once (daemons, inline drains) never share
+   one.  False when nothing was retired. *)
+let retire ?(limit = max_int) ~cost (view : Pmem.view) pool ths =
+  let recs =
+    match pool.batches with
+    | b :: rest ->
+        pool.batches <- rest;
+        b
+    | [] -> Pending.batch ()
   in
-  match List.fold_left claim [] ths with
-  | [] -> false
-  | claimed ->
-      let records = List.concat_map snd claimed in
-      let env = view.Pmem.env in
-      (match cost with
-      | Log_reread ->
-          List.iter
-            (fun p -> charge_log_read view ~nwrites:(Array.length p.addrs))
-            records
-      | Descriptor ->
-          (* one DRAM touch per descriptor: the address array rides in
-             the queue entry's lines *)
-          env.Scm.Env.delay
-            (List.length records * env.Scm.Env.machine.latency.dram_read_ns));
-      let addrs = Array.concat (List.map (fun p -> p.addrs) records) in
-      Wset.sort_prefix addrs ~len:(Array.length addrs);
-      flush_sorted_lines view addrs (Array.length addrs);
-      Pmlog.Rawl.advance_head_group
-        (List.map
-           (fun (th, ps) ->
-             let words = List.fold_left (fun w p -> w + p.span) 0 ps in
-             (th.log, List.length ps, words))
-           claimed);
-      List.iter
-        (fun (th, ps) ->
-          List.iter
-            (fun p ->
-              if p.txid <> 0 then Obs.flow th.pool.obs ~phase:`End ~id:p.txid)
-            ps;
-          race_on th.pool rel draining_label th;
-          th.draining <- false;
-          notify_drain th)
-        claimed;
-      true
+  Pending.reset recs;
+  let claimed = List.fold_left (claim recs ~limit) [] ths in
+  if claimed <> [] then begin
+    let env = view.Pmem.env in
+    (match cost with
+    | Log_reread ->
+        List.iter
+          (fun (_, first, last) ->
+            for i = first to last - 1 do
+              charge_log_read view ~nwrites:(Pending.writes recs i)
+            done)
+          claimed
+    | Descriptor ->
+        (* one DRAM touch per descriptor: the address array rides in
+           the queue entry's lines *)
+        env.Scm.Env.delay
+          (Pending.records recs * env.Scm.Env.machine.latency.dram_read_ns));
+    let addrs = Pending.addrs recs and n = Pending.naddrs recs in
+    Wset.sort_prefix addrs ~len:n;
+    flush_sorted_lines view addrs n;
+    Pmlog.Rawl.advance_head_group
+      (List.map
+         (fun (th, first, last) ->
+           let words = ref 0 in
+           for i = first to last - 1 do
+             words := !words + Pending.span recs i
+           done;
+           (th.log, last - first, !words))
+         claimed);
+    List.iter
+      (fun (th, first, last) ->
+        for i = first to last - 1 do
+          let txid = Pending.txid recs i in
+          if txid <> 0 then Obs.flow pool.obs ~phase:`End ~id:txid
+        done;
+        race_on pool rel draining_label th;
+        th.draining <- false;
+        notify_drain th)
+      claimed
+  end;
+  pool.batches <- recs :: pool.batches;
+  claimed <> []
 
 let process_one_truncation th dview =
-  retire ~limit:1 ~cost:Log_reread dview [ th ]
+  retire ~limit:1 ~cost:Log_reread dview th.pool [ th ]
 
 (* One sweep of a pipelined-commit drainer over its shard.  One drainer
    fiber serializes every producer's flush traffic through itself, so
@@ -1061,7 +1079,7 @@ let drain_pipeline ?shard pool dview =
   let mine th =
     match shard with None -> true | Some (k, n) -> th.id mod n = k
   in
-  retire ~cost:Descriptor dview (List.filter mine pool.threads)
+  retire ~cost:Descriptor dview pool (List.filter mine pool.threads)
 
 (* The last worker stops the daemons because a daemon still parked
    when the simulation ends is a {!Sim.Deadlock}. *)
@@ -1108,7 +1126,7 @@ let drain_fallback_ns = 4096 * 60
    the head yet), wait for it to release the claim rather than
    double-retiring records. *)
 let pipe_drain_self th =
-  if not (retire ~cost:Log_reread th.view [ th ]) then begin
+  if not (retire ~cost:Log_reread th.view th.pool [ th ]) then begin
     race_on th.pool acq draining_label th;
     while th.draining do
       Sim.park (add_drain_waiter th);
@@ -1142,7 +1160,7 @@ let pipe_backpressure th =
   let window = max 1 th.pool.cfg.pipe_window in
   let full () =
     race_q_probe th;
-    Queue.length th.pending_q >= window
+    Pending.length th.pending >= window
   in
   if full () then begin
     wait_for_drainer th full;
@@ -1272,7 +1290,7 @@ let append_record tx buf ~len =
     | Pmlog.Rawl.Full ->
         race_q_probe tx.th;
         race_on tx.th.pool acq draining_label tx.th;
-        if Queue.is_empty tx.th.pending_q && not tx.th.draining then
+        if Pending.is_empty tx.th.pending && not tx.th.draining then
           failwith
             (record_capacity_msg tx ~context:"transaction record larger \
                                               than the log" ~len)
@@ -1287,12 +1305,12 @@ let append_record tx buf ~len =
           if pool.txprof != None then prof_phase tx.th Obs.Txprof.ph_log;
           (if pool.cfg.pipeline then
              (* the log is full only because commits wait in
-                [pending_q] (checked above): the drainer's work, done
+                [pending] (checked above): the drainer's work, done
                 once it has advanced the head and released its claim *)
              wait_for_drainer tx.th (fun () ->
                  race_q_probe tx.th;
                  race_on tx.th.pool acq draining_label tx.th;
-                 (not (Queue.is_empty tx.th.pending_q)) || tx.th.draining)
+                 (not (Pending.is_empty tx.th.pending)) || tx.th.draining)
            else
              while process_one_truncation tx.th tx.th.view do
                ()
@@ -1301,7 +1319,7 @@ let append_record tx buf ~len =
             prof_phase tx.th Obs.Txprof.ph_trunc_wait;
           Obs.complete pool.obs Obs.Trace.Log_stall ~ts:t0
             ~dur:(env.Scm.Env.now () - t0)
-            ~arg:(Queue.length tx.th.pending_q);
+            ~arg:(Pending.length tx.th.pending);
           if retried > 1 then
             failwith
               (record_capacity_msg tx
@@ -1435,9 +1453,7 @@ let commit_redo tx =
         still unretired record.  Asynchronous: the truncation daemon's
         work. *)
      race_q_push th;
-     Queue.push
-       { span; addrs = Array.sub th.sorted 0 n; txid = th.cur_txid }
-       th.pending_q;
+     Pending.push th.pending ~span ~txid:th.cur_txid th.sorted n;
      if pool.cfg.pipeline then
        match pool.drain_wake with Some wake -> wake th.id | None -> ()
    end);

@@ -114,6 +114,13 @@ let blit_keys t dst =
    median-of-three pivots with an insertion-sort base case.  Write sets
    are small (tens of entries), so the base case does most of the
    work. *)
+let[@inline] swap (a : int array) i j =
+  let tmp = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- tmp
+
+(* [swap] stays outside [qsort]: a local closure over [a] would be
+   allocated at every partition step. *)
 let sort_prefix (a : int array) ~len =
   let rec qsort lo hi =
     if hi - lo < 16 then
@@ -128,14 +135,9 @@ let sort_prefix (a : int array) ~len =
       done
     else begin
       let mid = (lo + hi) / 2 in
-      let swap i j =
-        let tmp = a.(i) in
-        a.(i) <- a.(j);
-        a.(j) <- tmp
-      in
-      if a.(mid) < a.(lo) then swap mid lo;
-      if a.(hi) < a.(lo) then swap hi lo;
-      if a.(hi) < a.(mid) then swap hi mid;
+      if a.(mid) < a.(lo) then swap a mid lo;
+      if a.(hi) < a.(lo) then swap a hi lo;
+      if a.(hi) < a.(mid) then swap a hi mid;
       let pivot = a.(mid) in
       let i = ref lo and j = ref hi in
       while !i <= !j do
@@ -146,7 +148,7 @@ let sort_prefix (a : int array) ~len =
           decr j
         done;
         if !i <= !j then begin
-          swap !i !j;
+          swap a !i !j;
           incr i;
           decr j
         end

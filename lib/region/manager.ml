@@ -25,6 +25,10 @@ type t = {
   mutable swaps_out : int;
   mutable swaps_in : int;
   stats : boot_stats;
+  page : Bytes.t;
+      (* every page copy between a frame and a backing file or another
+         frame goes through here: each use fills it and consumes it
+         without yielding in between, so fibers can share it *)
 }
 
 let boot_stats t = t.stats
@@ -48,6 +52,7 @@ let make machine backing table reserved stats =
     swaps_out = 0;
     swaps_in = 0;
     stats;
+    page = Bytes.create Scm_device.frame_size;
   }
 
 let format (machine : Scm.Env.machine) backing =
@@ -139,10 +144,9 @@ let detach t env frame ~write_back =
   | Some (inode, page_off) ->
       if write_back then begin
         purge_frame_lines t frame;
-        let buf = Bytes.create Scm_device.frame_size in
-        Scm_device.read_into t.machine.dev (frame_addr frame) buf 0
+        Scm_device.read_into t.machine.dev (frame_addr frame) t.page 0
           Scm_device.frame_size;
-        Backing_store.write_page t.backing inode page_off buf;
+        Backing_store.write_page t.backing inode page_off t.page;
         env.Scm.Env.delay Backing_store.page_io_ns;
         t.swaps_out <- t.swaps_out + 1;
         let obs = t.machine.Scm.Env.obs in
@@ -231,9 +235,8 @@ let fault_in t env ~inode ~page_off =
   | None ->
       let frame = take_frame t env in
       purge_frame_lines ~writeback:false t frame;
-      let buf = Bytes.create Scm_device.frame_size in
-      Backing_store.read_page t.backing inode page_off buf;
-      Scm_device.write_from t.machine.dev (frame_addr frame) buf 0
+      Backing_store.read_page t.backing inode page_off t.page;
+      Scm_device.write_from t.machine.dev (frame_addr frame) t.page 0
         Scm_device.frame_size;
       env.Scm.Env.delay Backing_store.page_io_ns;
       t.swaps_in <- t.swaps_in + 1;
@@ -260,13 +263,12 @@ let sync_to_backing t env ~inode =
       (fun (i, off) frame acc -> if i = inode then (off, frame) :: acc else acc)
       t.resident []
   in
-  let buf = Bytes.create Scm_device.frame_size in
   List.iter
     (fun (page_off, frame) ->
       purge_frame_lines t frame;
-      Scm_device.read_into t.machine.dev (frame_addr frame) buf 0
+      Scm_device.read_into t.machine.dev (frame_addr frame) t.page 0
         Scm_device.frame_size;
-      Backing_store.write_page t.backing inode page_off buf;
+      Backing_store.write_page t.backing inode page_off t.page;
       env.Scm.Env.delay Backing_store.page_io_ns)
     pages
 
@@ -321,9 +323,8 @@ let wear_level t env ~threshold =
              purge_frame_lines t frame;
              purge_frame_lines ~writeback:false t target;
              let fs = Scm_device.frame_size in
-             let buf = Bytes.create fs in
-             Scm_device.read_into dev (frame_addr frame) buf 0 fs;
-             Scm_device.write_from dev (frame_addr target) buf 0 fs;
+             Scm_device.read_into dev (frame_addr frame) t.page 0 fs;
+             Scm_device.write_from dev (frame_addr target) t.page 0 fs;
              env.Scm.Env.delay (fs / 4);  (* memcpy *)
              (* 2. install the new mapping durably, then 3. free the
                 old frame; a crash in between leaves two identical

@@ -1117,6 +1117,102 @@ let test_lock_table_first_touch_budget () =
       grown
 
 (* ------------------------------------------------------------------ *)
+(* Pending ring *)
+
+(* The pending ring against a [Queue] of records.  Pushes of 0-40
+   addresses go to one of three rings; a claim resets one batch and
+   takes up to [limit] records from each ring in turn, as a sweep does.
+   Runs of up to 300 operations grow the rings past their first
+   capacity (8 records, 64 addresses) after claims have moved their
+   oldest slot, so records and addresses wrap. *)
+type ring_record = { span : int; txid : int; addrs : int array }
+type ring_op = Push of int * ring_record | Claim of int
+
+let show_ring_op = function
+  | Push (r, p) ->
+      Printf.sprintf "push %d {span %d; txid %d; %d addrs}" r p.span p.txid
+        (Array.length p.addrs)
+  | Claim l -> Printf.sprintf "claim %d" l
+
+let gen_ring_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map4
+            (fun r span txid addrs -> Push (r, { span; txid; addrs }))
+            (0 -- 2) (1 -- 200) (0 -- 1000)
+            (array_size (0 -- 40) (0 -- 1_000_000)) );
+        (1, map (fun l -> Claim l) (oneof [ 1 -- 12; return max_int ]));
+      ])
+
+let prop_pending_ring_matches_queue =
+  QCheck.Test.make ~name:"pending ring matches a queue of records" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_ring_op ops))
+       QCheck.Gen.(list_size (1 -- 300) gen_ring_op))
+    (fun ops ->
+      let rings = Array.init 3 (fun _ -> Mtm.Pending.create ()) in
+      let models = Array.init 3 (fun _ -> Queue.create ()) in
+      let b = Mtm.Pending.batch () in
+      let step = function
+        | Push (r, p) ->
+            (* the caller's buffer is longer than the record and reused *)
+            let src = Array.append p.addrs [| -1; -2 |] in
+            Mtm.Pending.push rings.(r) ~span:p.span ~txid:p.txid src
+              (Array.length p.addrs);
+            Array.fill src 0 (Array.length src) (-3);
+            Queue.push p models.(r)
+        | Claim limit ->
+            Mtm.Pending.reset b;
+            let expect = ref [] in
+            Array.iteri
+              (fun r ring ->
+                let want = min limit (Queue.length models.(r)) in
+                let got = Mtm.Pending.take ring ~limit b in
+                if got <> want then
+                  QCheck.Test.fail_reportf "ring %d: took %d, expected %d" r
+                    got want;
+                for _ = 1 to want do
+                  expect := Queue.pop models.(r) :: !expect
+                done)
+              rings;
+            let expect = List.rev !expect in
+            if Mtm.Pending.records b <> List.length expect then
+              QCheck.Test.fail_reportf "batch holds %d records, expected %d"
+                (Mtm.Pending.records b) (List.length expect);
+            let flat = Mtm.Pending.addrs b in
+            let off =
+              List.fold_left
+                (fun (i, off) p ->
+                  let n = Array.length p.addrs in
+                  if
+                    Mtm.Pending.span b i <> p.span
+                    || Mtm.Pending.txid b i <> p.txid
+                    || Mtm.Pending.writes b i <> n
+                    || Array.sub flat off n <> p.addrs
+                  then QCheck.Test.fail_reportf "claimed record %d differs" i;
+                  (i + 1, off + n))
+                (0, 0) expect
+              |> snd
+            in
+            if Mtm.Pending.naddrs b <> off then
+              QCheck.Test.fail_reportf "batch holds %d addresses, expected %d"
+                (Mtm.Pending.naddrs b) off
+      in
+      List.iter
+        (fun op ->
+          step op;
+          Array.iteri
+            (fun r ring ->
+              if Mtm.Pending.length ring <> Queue.length models.(r) then
+                QCheck.Test.fail_reportf "ring %d holds %d, expected %d" r
+                  (Mtm.Pending.length ring) (Queue.length models.(r)))
+            rings)
+        ops;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Pipelined commit *)
 
 (* Leases + stripes + group commit survive a crash with write-backs
@@ -1632,6 +1728,72 @@ let test_commit_allocation_budget () =
           "steady-state commit allocates %.0f minor words (budget 512)"
           per_commit)
 
+(* A drainer sweep's allocation does not grow with the records it
+   retires: the claim copies them out of each thread's pending ring into
+   a sweep buffer reused from sweep to sweep.  Four threads each queue
+   records of 8 writes over their own 8 lines; the second sweep, over
+   16 records a thread (64 in all, 512 addresses), must allocate what a
+   sweep over one record a thread allocates, and little.  Gathering the
+   records into lists and concatenating their address arrays cost a
+   513-word array, too large for the minor heap, on top of a dozen
+   words per record; so the count covers words allocated in either
+   heap. *)
+let test_drain_sweep_allocation_budget () =
+  with_tmpdir (fun dir ->
+      let _, pmem = stack dir in
+      let pool = pool_of ~config:{ pipeline_cfg with pipe_window = 32 } pmem in
+      let data = data_region pmem (4 * 4096) in
+      let v = Region.Pmem.default_view pmem in
+      let ths = Array.init 4 (fun i -> Mtm.Txn.thread pool i v.env) in
+      let queue per =
+        Array.iteri
+          (fun i th ->
+            for k = 1 to per do
+              Mtm.Txn.run th (fun tx ->
+                  for j = 0 to 7 do
+                    Mtm.Txn.store tx
+                      (data + (4096 * i) + (64 * j) + (8 * (k land 7)))
+                      (Int64.of_int k)
+                  done)
+            done)
+          ths;
+        Alcotest.(check int) "queued" (4 * per)
+          (Array.fold_left
+             (fun n th -> n + Mtm.Txn.pending_truncations th)
+             0 ths)
+      in
+      (* [Gc.counters]'s minor count lags on OCaml 5; its major count
+         includes what minor collections promote *)
+      let allocated () =
+        let _, promoted, major = Gc.counters () in
+        Gc.minor_words () +. major -. promoted
+      in
+      let sweep () =
+        (* then promotions inside the window are of what it allocated *)
+        Gc.minor ();
+        let w0 = allocated () in
+        let did = Mtm.Txn.drain_pipeline pool v in
+        let words = allocated () -. w0 in
+        Alcotest.(check bool) "the sweep retired" true did;
+        Array.iter
+          (fun th ->
+            Alcotest.(check int) "retired all" 0
+              (Mtm.Txn.pending_truncations th))
+          ths;
+        words
+      in
+      queue 16;
+      ignore (sweep ());
+      queue 16;
+      let full = sweep () in
+      queue 1;
+      let small = sweep () in
+      if full <> small || full > 256. then
+        Alcotest.failf
+          "a sweep over 64 records allocated %.0f words, one over 4 records \
+           %.0f (budget: equal, and at most 256)"
+          full small)
+
 let () =
   Alcotest.run "mtm"
     [
@@ -1648,6 +1810,8 @@ let () =
           Alcotest.test_case "nested flattening" `Quick test_nested_flattening;
           Alcotest.test_case "commit allocation budget" `Quick
             test_commit_allocation_budget;
+          Alcotest.test_case "drain sweep allocation budget" `Quick
+            test_drain_sweep_allocation_budget;
         ] );
       ( "recovery",
         [
@@ -1718,6 +1882,8 @@ let () =
             test_timestamp_ceiling;
           QCheck_alcotest.to_alcotest prop_lease_draws_unique_above_floor;
         ] );
+      ( "pending ring",
+        [ QCheck_alcotest.to_alcotest prop_pending_ring_matches_queue ] );
       ( "pipelined commit",
         [
           Alcotest.test_case "recovery with leases and group commit" `Quick

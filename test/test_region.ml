@@ -120,6 +120,33 @@ let test_manager_release_pages () =
       Alcotest.(check int) "frames returned" free0
         (Region.Manager.free_frames mgr))
 
+(* A fault copies its page through the manager's one page buffer: 64
+   faults of fresh pages grow the major heap by the 64 frames the device
+   allocates on their first write and a little bookkeeping, not by a
+   4 KiB buffer per fault as well. *)
+let test_manager_fault_major_budget () =
+  with_tmpdir (fun dir ->
+      let m = machine () in
+      let backing = Region.Backing_store.open_dir dir in
+      let mgr = Region.Manager.format m backing in
+      let env = Scm.Env.standalone m in
+      let inode = Region.Backing_store.create_file backing () in
+      (* what a minor collection promotes counts as major words too *)
+      Gc.minor ();
+      let _, _, before = Gc.counters () in
+      for p = 0 to 63 do
+        ignore (Region.Manager.fault_in mgr env ~inode ~page_off:p)
+      done;
+      Gc.minor ();
+      let _, _, after = Gc.counters () in
+      let grown = int_of_float (after -. before) * (Sys.word_size / 8) in
+      let frames = 64 * Scm.Scm_device.frame_size in
+      if grown > frames + (frames / 8) then
+        Alcotest.failf
+          "64 faults grew the major heap by %d B (budget: the 64 frames' \
+           %d B plus an eighth)"
+          grown frames)
+
 (* ------------------------------------------------------------------ *)
 (* Pmem: regions, persistence across reboot, intention log *)
 
@@ -830,6 +857,8 @@ let () =
           Alcotest.test_case "swap out and in" `Quick
             test_manager_swap_out_and_in;
           Alcotest.test_case "release pages" `Quick test_manager_release_pages;
+          Alcotest.test_case "a fault allocates no page buffer" `Quick
+            test_manager_fault_major_budget;
           Alcotest.test_case "wear leveling migrates hot pages" `Quick
             test_wear_leveling_migrates_hot_pages;
           Alcotest.test_case "duplicate mapping resolved at boot" `Quick
